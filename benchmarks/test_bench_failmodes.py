@@ -4,7 +4,7 @@ PR 4 threads the failure-model scenario library (degree-targeted, regional,
 subtree, uniform+regional composite) through the vectorized sweep stack.
 This benchmark guards the property that made that worthwhile: a
 ``(geometry × model × severity × replicate)`` grid of *non-uniform* models
-keeps the fused dispatch's speedup over the one-task-per-cell dispatch —
+keeps the fused dispatch's speedup over one-task-per-cell dispatch —
 i.e. adversarial and correlated scenarios run at the same fused/parallel
 speed as the paper's uniform model, rather than silently falling back to
 per-cell kernel launches.
@@ -16,8 +16,10 @@ cross-check of the model library under fused dispatch.  Results go to
 ``BENCH_failmodes.json`` (path overridable via ``RCM_BENCH_FAILMODES_JSON``)
 for CI to upload with the other perf artifacts.
 
-The acceptance floor is fused ≥ ``RCM_BENCH_FAILMODES_SPEEDUP_FLOOR`` × the
-current per-cell dispatch (default 1.0: the fused path must never be a
+The per-cell contender is the vendored one-task-per-cell dispatch in
+``per_cell_reference.py``.  The acceptance floor is fused ≥
+``RCM_BENCH_FAILMODES_SPEEDUP_FLOOR`` × that per-cell dispatch (default
+1.0: the fused path must never be a
 regression for non-uniform models; the large historical win over the PR-1
 engine is pinned separately in ``test_bench_sweep.py``).
 """
@@ -30,6 +32,7 @@ import os
 import platform
 import time
 
+from per_cell_reference import run_grid_per_cell
 from repro.sim.engine import _OVERLAY_CACHE, SweepRunner
 from repro.workloads.generators import paper_failure_probabilities
 
@@ -49,18 +52,25 @@ def _timed_grid(fused: bool, failure_probabilities):
     # pinned to the numpy backend so the recorded trajectory tracks dispatch
     # overhead rather than JIT availability.
     _OVERLAY_CACHE.clear()
-    runner = SweepRunner(
-        pairs=PAIRS,
-        replicates=TRIALS,
-        workers=1,
-        base_seed=SEED,
-        fused=fused,
-        backend="numpy",
-    )
     started = time.perf_counter()
-    results = runner.run(
-        list(BENCH_GEOMETRIES), FAILMODES_D, failure_probabilities, list(BENCH_MODELS)
-    )
+    if fused:
+        runner = SweepRunner(
+            pairs=PAIRS, replicates=TRIALS, workers=1, base_seed=SEED, backend="numpy"
+        )
+        results = runner.run(
+            list(BENCH_GEOMETRIES), FAILMODES_D, failure_probabilities, list(BENCH_MODELS)
+        )
+    else:
+        results = run_grid_per_cell(
+            BENCH_GEOMETRIES,
+            FAILMODES_D,
+            failure_probabilities,
+            BENCH_MODELS,
+            pairs=PAIRS,
+            replicates=TRIALS,
+            base_seed=SEED,
+            backend="numpy",
+        )
     return results, time.perf_counter() - started
 
 

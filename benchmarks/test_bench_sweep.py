@@ -4,10 +4,11 @@ Times the Figure 6(a) sweep grid (tree, hypercube, XOR at ``d = 10``;
 ``q × replicate`` cells per geometry, 2000 pairs per cell) through three
 implementations:
 
-* the **fused** dispatch (``SweepRunner(fused=True)``): all cells sharing an
-  overlay advance in one stacked-mask kernel invocation;
-* the current **per-cell** dispatch (``SweepRunner(fused=False)``), which
-  shares the rewritten prepare/step kernels with the fused path;
+* the **fused** dispatch (``SweepRunner``): all cells sharing an overlay
+  advance in one stacked-mask kernel invocation;
+* the **per-cell** dispatch vendored in ``per_cell_reference.py`` (one
+  ``route_pairs`` task per cell), which shares the rewritten prepare/step
+  kernels with the fused path;
 * the **PR-1 per-cell engine**, vendored below verbatim (original kernels,
   original hop loop, original list-based pair sampling) as the pinned
   speedup reference, so the recorded win measures this PR's change and not
@@ -34,6 +35,7 @@ import time
 
 import numpy as np
 
+from per_cell_reference import run_grid_per_cell
 from repro.dht import OVERLAY_CLASSES
 from repro.dht.failures import survival_mask
 from repro.sim.engine import (
@@ -186,11 +188,22 @@ def _timed_runner_grid(fused, failure_probabilities):
     # win over the PR-1 engine; the JIT backend has its own benchmark
     # (test_bench_backends.py).
     _OVERLAY_CACHE.clear()
-    runner = SweepRunner(
-        pairs=PAIRS, replicates=TRIALS, workers=1, base_seed=SEED, fused=fused, backend="numpy"
-    )
     started = time.perf_counter()
-    results = runner.run(list(BENCH_GEOMETRIES), SWEEP_D, failure_probabilities)
+    if fused:
+        runner = SweepRunner(
+            pairs=PAIRS, replicates=TRIALS, workers=1, base_seed=SEED, backend="numpy"
+        )
+        results = runner.run(list(BENCH_GEOMETRIES), SWEEP_D, failure_probabilities)
+    else:
+        results = run_grid_per_cell(
+            BENCH_GEOMETRIES,
+            SWEEP_D,
+            failure_probabilities,
+            pairs=PAIRS,
+            replicates=TRIALS,
+            base_seed=SEED,
+            backend="numpy",
+        )
     return results, time.perf_counter() - started
 
 
