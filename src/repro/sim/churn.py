@@ -38,10 +38,10 @@ aliveness bitsets) used to be rebuilt from scratch at every churn step —
 O(nodes × degree) work even when a single node changed.  The loop now
 carries one backend state across steps and delta-patches it through the
 backend's ``update`` hook (see :attr:`repro.sim.kernelspec.KernelSpec.update`):
-O(events × degree) per step.  ``state_mode="rebuild"`` keeps the
-rebuild-every-step behaviour for verification; both modes are byte-identical
-by the conformance harness's incremental-parity axis, and the speedup is
-gated in ``benchmarks/test_bench_churn.py``.
+O(events × degree) per step.  A delta-patched state routes byte-identically
+to a fresh prepare (the conformance harness's incremental-parity axis), and
+the speedup over rebuilding every step is gated against a vendored rebuild
+driver in ``benchmarks/test_bench_churn.py``.
 
 RNG discipline (the contract this refactor must not move)
 ---------------------------------------------------------
@@ -54,10 +54,10 @@ Per step the generator is consumed in exactly this order and nothing else:
    :func:`repro.sim.sampling.sample_survivor_pair_arrays`, consumed only
    when the step samples pairs (at least two usable nodes).
 
-Routing itself consumes no randomness, and ``state_mode`` only changes *how*
-the routing state is produced — so incremental and rebuild runs (and batch
-and scalar engines) consume identical RNG streams and seeded churn numbers
-are unchanged by this refactor (property-tested in ``tests/test_churn.py``).
+Routing itself consumes no randomness, and maintaining the routing state
+draws nothing — so batch and scalar engines consume identical RNG streams
+and seeded churn numbers are unchanged by the incremental refactor
+(property-tested in ``tests/test_churn.py``).
 """
 
 from __future__ import annotations
@@ -82,23 +82,15 @@ __all__ = [
     "ChurnStepResult",
     "ChurnSimulationResult",
     "CHURN_PROFILE_PHASES",
-    "STATE_MODES",
     "effective_failure_probability",
     "simulate_churn",
 ]
 
 #: Wall-clock phases of one churn run, in reporting order (the churn
 #: counterpart of ``repro.sim.engine.PROFILE_PHASES``): computing the
-#: join/leave delta, delta-patching (or rebuilding) the routing state,
+#: join/leave delta, delta-patching (or first preparing) the routing state,
 #: advancing the hop kernels, and reducing per-pair outcomes to metrics.
 CHURN_PROFILE_PHASES = ("mask_delta", "state_update", "kernel_hops", "reduction")
-
-#: How the per-step routing state is produced: ``"incremental"`` carries one
-#: backend state across steps and delta-patches it; ``"rebuild"`` prepares
-#: from scratch at every sampled step (the pre-refactor behaviour, kept for
-#: verification).  Byte-identical by construction.
-STATE_MODES = ("incremental", "rebuild")
-
 
 @dataclass(frozen=True)
 class ChurnConfig:
@@ -272,7 +264,6 @@ def simulate_churn(
     engine: str = "batch",
     batch_size: Optional[int] = None,
     backend: BackendLike = None,
-    state_mode: str = "incremental",
     profile: Optional[MutableMapping[str, float]] = None,
 ) -> ChurnSimulationResult:
     """Simulate churn on ``overlay`` and measure routability per step.
@@ -290,13 +281,11 @@ def simulate_churn(
     ``engine`` selects how the sampled pairs are routed: ``"batch"`` (the
     default) routes each step's pairs through the kernel backend selected by
     ``backend``, carrying **one prepared routing state across steps** and
-    delta-patching it with each step's join/leave delta (``state_mode=
-    "incremental"``; ``"rebuild"`` prepares from scratch each sampled step —
-    byte-identical, kept for verification and benchmarking).  ``"scalar"``
+    delta-patching it with each step's join/leave delta.  ``"scalar"``
     routes one pair at a time through the scalar oracle.  Routing consumes
-    no randomness and all paths are bit-identical, so engine, backend and
-    ``state_mode`` never change the measured numbers — see the module
-    docstring for the exact per-step RNG contract.
+    no randomness and all paths are bit-identical, so engine and backend
+    never change the measured numbers — see the module docstring for the
+    exact per-step RNG contract.
 
     ``profile`` optionally accumulates per-phase wall-clock seconds
     (:data:`CHURN_PROFILE_PHASES`) into the given mapping, batch engine
@@ -304,10 +293,6 @@ def simulate_churn(
     ``rcm simulate --profile``.
     """
     engine = check_engine(engine)
-    if state_mode not in STATE_MODES:
-        raise InvalidParameterError(
-            f"unknown state_mode {state_mode!r}; expected one of {STATE_MODES}"
-        )
     trace = config.trace
     n = overlay.n_nodes
     if trace is not None and trace.n_nodes != n:
@@ -349,15 +334,13 @@ def simulate_churn(
             )
             if engine == "batch":
                 clock.start()
-                if routing_state is None or state_mode == "rebuild":
-                    joined = left = None
+                if routing_state is None:
+                    clock.stop("mask_delta")
+                    routing_state = resolved.prepare(overlay, usable)
                 else:
                     joined = np.flatnonzero(usable & ~state_mask)
                     left = np.flatnonzero(state_mask & ~usable)
-                clock.stop("mask_delta")
-                if joined is None:
-                    routing_state = resolved.prepare(overlay, usable)
-                else:
+                    clock.stop("mask_delta")
                     routing_state = resolved.update(
                         overlay, routing_state, usable, joined, left
                     )

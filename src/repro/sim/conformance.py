@@ -20,7 +20,7 @@ the oracle across every execution shape the generic drivers derive:
   failure-model kind, severities down *and* up so unmasking is exercised)
   must route byte-identically to a from-scratch prepare after every delta;
 * **worker counts** — :class:`~repro.sim.engine.SweepRunner` grids over
-  all registered geometries, fused and per-cell, pooled vs in-process.
+  all registered geometries, pooled vs in-process.
 
 ``tests/test_kernelspec.py`` drives these checks through pytest;
 ``python -m repro.sim.conformance`` runs the full battery standalone (the
@@ -355,7 +355,6 @@ def assert_worker_parity(
     pairs: int = 40,
     replicates: int = 2,
     base_seed: int = 321,
-    fused: bool = True,
 ) -> int:
     """SweepRunner grids over ``geometries`` are identical for every worker count."""
     grids: Dict[int, Dict] = {}
@@ -366,7 +365,6 @@ def assert_worker_parity(
             workers=count,
             base_seed=base_seed,
             backend=backend,
-            fused=fused,
         ) as runner:
             grids[count] = runner.run(list(geometries), d, list(qs))
     reference = grids[workers[0]]
@@ -445,17 +443,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     for label, backend in conformance_backends():
         if label == "python-loop":
             continue  # uncompiled loops are far too slow for pooled grids
-        for fused in (True, False):
-            mode = "fused" if fused else "per-cell"
-            try:
-                cells = assert_worker_parity(geometries, backend, fused=fused)
-            except AssertionError as error:  # pragma: no cover - only on violation
-                failures += 1
-                print(f"  workers[{label},{mode}]: FAILED {error}")
-                continue
-            print(
-                f"  workers[{label},{mode}]: OK ({cells} cells across workers {WORKER_COUNTS})"
-            )
+        try:
+            cells = assert_worker_parity(geometries, backend)
+        except AssertionError as error:  # pragma: no cover - only on violation
+            failures += 1
+            print(f"  workers[{label}]: FAILED {error}")
+            continue
+        print(f"  workers[{label}]: OK ({cells} cells across workers {WORKER_COUNTS})")
     if failures:
         print(f"conformance: {failures} geometry/dispatch group(s) FAILED")
         return 1

@@ -43,14 +43,15 @@ Layered on top:
   the scenario library in :mod:`repro.dht.failures` (uniform, targeted,
   regional, subtree, composite), and mask generation is held to the same
   bit-identity invariant as routing: every model produces the same masks on
-  the scalar, batch and fused paths.  In fused mode (the default) cells that share an overlay build are
-  dispatched as one task, and the overlay's routing tables are published to
-  the workers once via ``multiprocessing.shared_memory`` instead of being
-  rebuilt per process.
+  the scalar, batch and fused paths.  Cells that share an overlay build are
+  dispatched as one fused task, and the overlay's routing tables are
+  published to the workers once via ``multiprocessing.shared_memory``
+  instead of being rebuilt per process.
 """
 
 from __future__ import annotations
 
+import itertools
 import multiprocessing
 import time
 import zlib
@@ -63,7 +64,7 @@ import numpy as np
 
 from ..dht import OVERLAY_CLASSES, Overlay
 from ..dht.failures import check_failure_model_kind, make_failure_model
-from ..dht.metrics import RoutingMetrics
+from ..dht.metrics import RoutingMetrics, summarize_routes
 from ..dht.routing import FAILURE_CODES, FailureReason, failure_reason_from_code
 from ..exceptions import InvalidParameterError, RoutingError, UnknownGeometryError
 from ..validation import check_failure_probability, check_non_negative_int, check_positive_int
@@ -182,17 +183,6 @@ class BatchRouteOutcome:
             hops=self.hops[start:stop],
             failure_codes=self.failure_codes[start:stop],
         )
-
-
-def _empty_outcome() -> BatchRouteOutcome:
-    """A zero-pair outcome (degenerate cells contribute no routing attempts)."""
-    return BatchRouteOutcome(
-        sources=np.empty(0, dtype=np.int64),
-        destinations=np.empty(0, dtype=np.int64),
-        succeeded=np.empty(0, dtype=bool),
-        hops=np.empty(0, dtype=np.int64),
-        failure_codes=np.empty(0, dtype=np.int8),
-    )
 
 
 def _wrap_outcome(
@@ -744,7 +734,7 @@ def _attached_overlay_view(ref: _SharedTableRef) -> _SharedOverlayView:
 
 
 def _cell_routing_rng(base_seed: int, cell: SweepCell) -> np.random.Generator:
-    """The per-cell routing stream; identical for the fused and per-cell paths.
+    """The per-cell routing stream, independent of how cells are grouped for dispatch.
 
     Uniform cells keep the original ``(geometry, d, replicate, q)`` entropy
     key so their streams — and every benchmark reference vendored against
@@ -841,40 +831,123 @@ class _PhaseClock:
         self.timings[phase] = self.timings.get(phase, 0.0) + seconds
 
 
-def _run_sweep_cell(spec: Tuple) -> Tuple[SweepCellResult, Dict[str, float]]:
-    """Worker entry point: route one cell of the sweep grid (top-level for pickling)."""
-    cell, pairs, base_seed, batch_size, overlay_options, backend_name = spec
-    clock = _PhaseClock()
-    clock.start("overlay_build")
-    overlay = _cached_overlay(cell.geometry, cell.d, cell.replicate, base_seed, overlay_options)
-    clock.stop()
-    clock.start("mask_generation")
-    sampled = _sample_cell(overlay, cell, pairs, base_seed)
-    clock.stop()
-    if sampled is None:
-        result = SweepCellResult(
-            cell=cell, pairs=pairs, metrics=_empty_outcome().to_metrics(), degenerate=True
-        )
-        return result, clock.timings
-    alive, sources, destinations = sampled
+#: One cell's routing sample: its survival mask and the surviving
+#: ``(sources, destinations)`` pairs sampled under it, or ``None`` for a
+#: degenerate cell (fewer than two survivors, so nothing to route).
+CellSample = Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]
+
+
+def _route_samples(
+    overlay,
+    samples: Sequence[CellSample],
+    *,
+    batch_size: Optional[int],
+    backend: BackendLike,
+    clock: Optional[_PhaseClock] = None,
+) -> List[Optional[RoutingMetrics]]:
+    """The one route-and-reduce core behind every sweep driver.
+
+    Routes the pairs of every non-degenerate sample in a single
+    :func:`route_pairs_stacked` call (one mask row per sample) and slices
+    the stacked outcome back into per-sample metrics, in sample order;
+    degenerate samples map to ``None``.  The stacked kernels are
+    row-independent, so each sample's metrics equal routing it alone with
+    :func:`route_pairs`.  How the samples were drawn — per-cell entropy
+    streams or one sequential stream — is the caller's sampling strategy.
+    ``clock`` attributes the work to the ``kernel_hops`` and ``reduction``
+    profile phases.
+    """
+    routed = [sample for sample in samples if sample is not None]
+    if not routed:
+        return [None] * len(samples)
+    clock = clock if clock is not None else _PhaseClock()
+    masks, sources, destinations = zip(*routed)
+    sizes = [cell_sources.size for cell_sources in sources]
     clock.start("kernel_hops")
-    outcome = route_pairs(
-        overlay, sources, destinations, alive, batch_size=batch_size, backend=backend_name
+    outcome = route_pairs_stacked(
+        overlay,
+        np.concatenate(sources),
+        np.concatenate(destinations),
+        np.stack(masks),
+        np.repeat(np.arange(len(routed), dtype=np.int64), sizes),
+        batch_size=batch_size,
+        backend=backend,
     )
     clock.stop()
     clock.start("reduction")
-    result = SweepCellResult(cell=cell, pairs=pairs, metrics=outcome.to_metrics())
+    bounds = [0, *itertools.accumulate(sizes)]
+    routed_metrics = iter(
+        [outcome.sliced(start, stop).to_metrics() for start, stop in zip(bounds, bounds[1:])]
+    )
     clock.stop()
-    return result, clock.timings
+    return [None if sample is None else next(routed_metrics) for sample in samples]
+
+
+def _pooled_point(
+    geometry: str,
+    system: str,
+    d: int,
+    q: float,
+    pairs: int,
+    cell_metrics: Sequence[Optional[RoutingMetrics]],
+    failure_model: str,
+) -> "StaticResilienceResult":
+    """Pool one point's per-trial metrics (``None`` = degenerate trial), in order."""
+    from .static_resilience import StaticResilienceResult
+
+    pooled: Optional[RoutingMetrics] = None
+    for metrics in cell_metrics:
+        if metrics is not None:
+            pooled = metrics if pooled is None else pooled.merged_with(metrics)
+    return StaticResilienceResult(
+        geometry=geometry,
+        system=system,
+        d=d,
+        q=q,
+        trials=len(cell_metrics),
+        pairs_per_trial=pairs,
+        metrics=pooled if pooled is not None else summarize_routes(()),
+        degenerate_trials=sum(metrics is None for metrics in cell_metrics),
+        failure_model=failure_model,
+    )
+
+
+def _route_cells(
+    overlay,
+    cells: Sequence[SweepCell],
+    pairs: int,
+    base_seed: int,
+    *,
+    batch_size: Optional[int],
+    backend: BackendLike,
+    clock: Optional[_PhaseClock] = None,
+) -> List[SweepCellResult]:
+    """Sample every cell from its own entropy stream and route them all fused."""
+    clock = clock if clock is not None else _PhaseClock()
+    clock.start("mask_generation")
+    samples = [_sample_cell(overlay, cell, pairs, base_seed) for cell in cells]
+    clock.stop()
+    cell_metrics = _route_samples(
+        overlay, samples, batch_size=batch_size, backend=backend, clock=clock
+    )
+    return [
+        SweepCellResult(
+            cell=cell,
+            pairs=pairs,
+            metrics=metrics if metrics is not None else summarize_routes(()),
+            degenerate=metrics is None,
+        )
+        for cell, metrics in zip(cells, cell_metrics)
+    ]
+
+
+def _cell_metrics(result: SweepCellResult) -> Optional[RoutingMetrics]:
+    """A cell result as a pooling input (``None`` for a degenerate cell)."""
+    return None if result.degenerate else result.metrics
 
 
 def _run_fused_group(spec: Tuple) -> Tuple[List[SweepCellResult], Dict[str, float]]:
-    """Worker entry point: route every cell sharing one overlay in a single fused batch.
-
-    The per-cell seed streams are the ones :func:`_run_sweep_cell` consumes,
-    and the stacked kernels are row-independent, so each cell's metrics are
-    bit-identical to the per-cell dispatch path.
-    """
+    """Worker entry point: route every cell sharing one overlay in a single fused batch."""
     cells, pairs, base_seed, batch_size, overlay_options, table_ref, backend_name = spec
     clock = _PhaseClock()
     clock.start("overlay_build")
@@ -886,45 +959,10 @@ def _run_fused_group(spec: Tuple) -> Tuple[List[SweepCellResult], Dict[str, floa
             first.geometry, first.d, first.replicate, base_seed, overlay_options
         )
     clock.stop()
-    results: Dict[SweepCell, SweepCellResult] = {}
-    masks: List[np.ndarray] = []
-    sources: List[np.ndarray] = []
-    destinations: List[np.ndarray] = []
-    routed: List[SweepCell] = []
-    clock.start("mask_generation")
-    for cell in cells:
-        sampled = _sample_cell(overlay, cell, pairs, base_seed)
-        if sampled is None:
-            results[cell] = SweepCellResult(
-                cell=cell, pairs=pairs, metrics=_empty_outcome().to_metrics(), degenerate=True
-            )
-            continue
-        alive, cell_sources, cell_destinations = sampled
-        masks.append(alive)
-        sources.append(cell_sources)
-        destinations.append(cell_destinations)
-        routed.append(cell)
-    clock.stop()
-    if routed:
-        clock.start("kernel_hops")
-        outcome = route_pairs_stacked(
-            overlay,
-            np.concatenate(sources),
-            np.concatenate(destinations),
-            np.stack(masks),
-            np.repeat(np.arange(len(routed), dtype=np.int64), pairs),
-            batch_size=batch_size,
-            backend=backend_name,
-        )
-        clock.stop()
-        clock.start("reduction")
-        for index, cell in enumerate(routed):
-            cell_outcome = outcome.sliced(index * pairs, (index + 1) * pairs)
-            results[cell] = SweepCellResult(
-                cell=cell, pairs=pairs, metrics=cell_outcome.to_metrics()
-            )
-        clock.stop()
-    return [results[cell] for cell in cells], clock.timings
+    results = _route_cells(
+        overlay, cells, pairs, base_seed, batch_size=batch_size, backend=backend_name, clock=clock
+    )
+    return results, clock.timings
 
 
 class SweepRunner:
@@ -933,19 +971,16 @@ class SweepRunner:
 
     Every cell of the grid is seeded independently from ``base_seed`` (see
     :class:`SweepCell`), so the measured metrics are identical for any
-    ``workers`` setting, any execution order, and both dispatch modes —
-    ``workers`` and ``fused`` only change wall-clock time.  Completed cells
-    are memoized on the runner; re-running an overlapping grid only computes
-    the missing cells.
+    ``workers`` setting and any execution order — ``workers`` only changes
+    wall-clock time.  Completed cells are memoized on the runner; re-running
+    an overlapping grid only computes the missing cells.
 
-    In fused mode (the default) all pending cells that share an overlay
-    build — every ``q`` of one ``(geometry, replicate)`` — are dispatched as
-    **one** task routed through :func:`route_pairs_stacked`, and with
-    ``workers > 1`` each overlay's routing tables are published once via
+    All pending cells that share an overlay build — every ``q`` of one
+    ``(geometry, replicate)`` — are dispatched as **one** task routed
+    through :func:`route_pairs_stacked`, and with ``workers > 1`` each
+    overlay's routing tables are published once via
     ``multiprocessing.shared_memory`` so the persistent worker pool maps
-    them zero-copy instead of rebuilding per process.  ``fused=False``
-    restores the PR-1 one-task-per-cell dispatch (useful for benchmarking
-    the fused win and as a second implementation to cross-check).
+    them zero-copy instead of rebuilding per process.
 
     Parameters
     ----------
@@ -961,9 +996,6 @@ class SweepRunner:
         releases it.
     batch_size:
         Optional chunk size forwarded to the routing engine.
-    fused:
-        ``True`` (default) dispatches one fused task per overlay build;
-        ``False`` dispatches one task per cell.
     backend:
         Kernel backend for the routing hops (name or
         :class:`~repro.sim.backends.KernelBackend`); ``"auto"`` (default)
@@ -993,7 +1025,6 @@ class SweepRunner:
         workers: int = 1,
         batch_size: Optional[int] = None,
         base_seed: int = 20060328,
-        fused: bool = True,
         backend: BackendLike = None,
         overlay_options: Optional[Mapping[str, object]] = None,
         cell_store=None,
@@ -1007,7 +1038,6 @@ class SweepRunner:
         # Seed 0 is valid (np.random accepts it, and PairWorkload.derived_seed
         # can produce it), so only negatives are rejected.
         self._base_seed = check_non_negative_int(base_seed, "base_seed")
-        self._fused = bool(fused)
         # Resolve once so "auto" (and a numba request without Numba) pins to
         # a concrete backend that every dispatch — in-process or pooled —
         # routes through.  Task specs carry the registry *name* when the
@@ -1034,11 +1064,6 @@ class SweepRunner:
     def completed_cells(self) -> int:
         """Number of distinct cells memoized so far."""
         return len(self._completed)
-
-    @property
-    def fused(self) -> bool:
-        """Whether pending cells are dispatched fused by overlay build."""
-        return self._fused
 
     @property
     def backend_name(self) -> str:
@@ -1182,7 +1207,7 @@ class SweepRunner:
         This is the one execution path behind :meth:`run` (which expands a
         rectangular grid into it) and the adaptive allocator (which submits
         exactly the cells each round's schedule calls for): memo lookup,
-        persistent-store recall, fused/per-cell dispatch, store write-back
+        persistent-store recall, fused dispatch, store write-back
         and :attr:`last_run_stats` accounting all live here.  Duplicate
         cells in ``cells`` are computed once and reported once in the
         stats.
@@ -1203,10 +1228,7 @@ class SweepRunner:
             store_hits = len(recalled)
             pending = [cell for cell in pending if cell not in self._completed]
         if pending:
-            if self._fused:
-                results = self._run_fused(pending)
-            else:
-                results = self._run_per_cell(pending)
+            results = self._run_fused(pending)
             for result in results:
                 self._completed[result.cell] = result
             if self._cell_store is not None:
@@ -1223,31 +1245,6 @@ class SweepRunner:
             computed=len(pending),
         )
         return {cell: self._completed[cell] for cell in requested}
-
-    def _run_per_cell(self, pending: List[SweepCell]) -> List[SweepCellResult]:
-        """PR-1 dispatch: one engine task per cell."""
-        specs = [
-            (
-                cell,
-                self._pairs,
-                self._base_seed,
-                self._batch_size,
-                self._overlay_options,
-                self._spec_backend,
-            )
-            for cell in pending
-        ]
-        if self._workers > 1 and len(specs) > 1:
-            # Chunk by (geometry, replicate) ordering so each worker reuses
-            # its cached overlay across the q values it is handed.
-            outcomes = self._ensure_pool(len(specs)).map(_run_sweep_cell, specs)
-        else:
-            outcomes = [_run_sweep_cell(spec) for spec in specs]
-        results = []
-        for result, timings in outcomes:
-            self._absorb_timings(timings)
-            results.append(result)
-        return results
 
     def _run_fused(self, pending: List[SweepCell]) -> List[SweepCellResult]:
         """Fused dispatch: one task per overlay build, routed as a stacked batch.
@@ -1350,56 +1347,45 @@ class SweepRunner:
         behaviour (and every measured byte) is unchanged.
         """
         # Imported here: static_resilience imports this module at load time.
-        from .static_resilience import ResilienceSweepResult, StaticResilienceResult
+        from .static_resilience import ResilienceSweepResult
 
         failure_model = check_failure_model_kind(failure_model)
         if adaptive is not None or replay_allocation is not None:
-            return self._sweep_adaptive(
+            points = self._sweep_adaptive(
                 geometry, d, failure_probabilities, failure_model, adaptive, replay_allocation
             )
-        self._last_adaptive_report = None
-        cell_results = self.run([geometry], d, failure_probabilities, [failure_model])
-        overlay_cls = OVERLAY_CLASSES[geometry]
-        point_results = []
-        for q in failure_probabilities:
-            pooled: Optional[RoutingMetrics] = None
-            degenerate = 0
-            for replicate in range(self._replicates):
-                result = cell_results[
-                    SweepCell(
-                        geometry=geometry, d=d, q=q, replicate=replicate, model=failure_model
-                    )
-                ]
-                if result.degenerate:
-                    degenerate += 1
-                    continue
-                pooled = result.metrics if pooled is None else pooled.merged_with(result.metrics)
-            if pooled is None:
-                pooled = RoutingMetrics(
-                    attempts=0,
-                    successes=0,
-                    mean_hops_successful=float("nan"),
-                    mean_hops_failed=float("nan"),
-                    failure_reasons={},
+        else:
+            self._last_adaptive_report = None
+            cell_results = self.run([geometry], d, failure_probabilities, [failure_model])
+            points = [
+                (
+                    q,
+                    [
+                        cell_results[
+                            SweepCell(geometry=geometry, d=d, q=q, replicate=r, model=failure_model)
+                        ]
+                        for r in range(self._replicates)
+                    ],
                 )
-            point_results.append(
-                StaticResilienceResult(
-                    geometry=geometry,
-                    system=overlay_cls.system_name,
-                    d=d,
-                    q=q,
-                    trials=self._replicates,
-                    pairs_per_trial=self._pairs,
-                    metrics=pooled,
-                    degenerate_trials=degenerate,
-                    failure_model=failure_model,
-                )
-            )
+                for q in failure_probabilities
+            ]
+        system = OVERLAY_CLASSES[geometry].system_name
         return ResilienceSweepResult(
             geometry=geometry,
-            system=overlay_cls.system_name,
+            system=system,
             d=d,
-            results=tuple(point_results),
+            results=tuple(
+                _pooled_point(
+                    geometry,
+                    system,
+                    d,
+                    q,
+                    self._pairs,
+                    [_cell_metrics(result) for result in results],
+                    failure_model,
+                )
+                for q, results in points
+            ),
             backend_name=self._backend_name,
             failure_model=failure_model,
         )
@@ -1412,11 +1398,11 @@ class SweepRunner:
         failure_model: str,
         adaptive,
         replay_allocation,
-    ) -> "ResilienceSweepResult":
-        """The adaptive/replayed branch of :meth:`sweep` (arguments validated
-        here; the uniform branch stays byte-for-byte untouched)."""
+    ) -> List[Tuple[float, List[SweepCellResult]]]:
+        """The adaptive/replayed branch of :meth:`sweep`: validates its
+        arguments, runs the allocation and returns each point's consumed
+        cells in replicate order."""
         from .adaptive import AdaptiveConfig, AllocationLedger, SweepPoint, run_allocation
-        from .static_resilience import ResilienceSweepResult, StaticResilienceResult
 
         if not len(failure_probabilities):
             raise InvalidParameterError("failure_probabilities must not be empty")
@@ -1474,42 +1460,4 @@ class SweepRunner:
         results, report = run_allocation(points, run_round, config, replay=replay_allocation)
         self._last_run_stats = SweepRunStats(**totals)
         self._last_adaptive_report = report
-        overlay_cls = OVERLAY_CLASSES[geometry]
-        point_results = []
-        for point, allocation in zip(points, report.allocations):
-            pooled: Optional[RoutingMetrics] = None
-            degenerate = 0
-            for result in results[point]:
-                if result.degenerate:
-                    degenerate += 1
-                    continue
-                pooled = result.metrics if pooled is None else pooled.merged_with(result.metrics)
-            if pooled is None:
-                pooled = RoutingMetrics(
-                    attempts=0,
-                    successes=0,
-                    mean_hops_successful=float("nan"),
-                    mean_hops_failed=float("nan"),
-                    failure_reasons={},
-                )
-            point_results.append(
-                StaticResilienceResult(
-                    geometry=geometry,
-                    system=overlay_cls.system_name,
-                    d=d,
-                    q=point.q,
-                    trials=allocation.trials,
-                    pairs_per_trial=self._pairs,
-                    metrics=pooled,
-                    degenerate_trials=degenerate,
-                    failure_model=failure_model,
-                )
-            )
-        return ResilienceSweepResult(
-            geometry=geometry,
-            system=overlay_cls.system_name,
-            d=d,
-            results=tuple(point_results),
-            backend_name=self._backend_name,
-            failure_model=failure_model,
-        )
+        return [(point.q, results[point]) for point in points]

@@ -49,13 +49,12 @@ from ..validation import (
 from .engine import (
     ROUTING_ENGINES,
     BackendLike,
-    SweepCell,
-    SweepCellResult,
-    _empty_outcome,
-    _sample_cell,
+    _cell_metrics,
+    _pooled_point,
+    _route_cells,
+    _route_samples,
     check_engine,
     resolve_backend,
-    route_pairs_stacked,
 )
 from .sampling import sample_survivor_pair_arrays
 
@@ -261,65 +260,41 @@ def measure_routability(
     model_label = "uniform" if failure_model is None else failure_model.description
     model = model.bind(overlay)
 
-    pooled: Optional[RoutingMetrics] = None
-    degenerate = 0
-    # Mask generation is one vectorized sample_batch call — property-tested
-    # stream-identical to sampling the masks one trial at a time — while
-    # pair sampling stays a sequential per-trial loop.  Both engines share
-    # this sampling code, so batch and scalar consume the stream draw for
-    # draw and measure bit-identical metrics.  Note the draw *order* is
+    # The sequential sampling strategy: one generator feeds every trial,
+    # masks first (one vectorized sample_batch call, property-tested
+    # stream-identical to sampling them one trial at a time), then each
+    # non-degenerate trial's pairs in trial order.  Both engines share this
+    # sampling code, so batch and scalar consume the stream draw for draw
+    # and measure bit-identical metrics.  The draw *order* is
     # masks-then-pairs since PR 4 (previously mask and pair draws
     # interleaved per trial), so seeded multi-trial numbers differ from
-    # pre-PR-4 releases; the cross-engine/dispatch/backend invariants are
-    # unaffected.  Under the batch engine the routing itself is deferred
-    # and fused across trials, which consumes no randomness.
-    all_masks = model.sample_batch(overlay.n_nodes, trials, generator)
-    trial_masks: List[np.ndarray] = []
-    trial_sources: List[np.ndarray] = []
-    trial_destinations: List[np.ndarray] = []
-    for alive in all_masks:
-        if int(alive.sum()) < 2:
-            degenerate += 1
-            continue
-        sources, destinations = sample_survivor_pair_arrays(alive, pairs, generator)
-        if engine == "batch":
-            trial_masks.append(alive)
-            trial_sources.append(sources)
-            trial_destinations.append(destinations)
-            continue
-        results = [
-            overlay.route(int(source), int(destination), alive)
-            for source, destination in zip(sources.tolist(), destinations.tolist())
+    # pre-PR-4 releases.  Routing consumes no randomness.
+    samples = [
+        (alive, *sample_survivor_pair_arrays(alive, pairs, generator))
+        if int(alive.sum()) >= 2
+        else None
+        for alive in model.sample_batch(overlay.n_nodes, trials, generator)
+    ]
+    if engine == "batch":
+        trial_metrics = _route_samples(overlay, samples, batch_size=batch_size, backend=backend)
+    else:
+        trial_metrics = [
+            None
+            if sample is None
+            else summarize_routes(
+                overlay.route(int(source), int(destination), sample[0])
+                for source, destination in zip(sample[1].tolist(), sample[2].tolist())
+            )
+            for sample in samples
         ]
-        metrics = summarize_routes(results)
-        pooled = metrics if pooled is None else pooled.merged_with(metrics)
-    if trial_masks:
-        outcome = route_pairs_stacked(
-            overlay,
-            np.concatenate(trial_sources),
-            np.concatenate(trial_destinations),
-            np.stack(trial_masks),
-            np.repeat(np.arange(len(trial_masks), dtype=np.int64), pairs),
-            batch_size=batch_size,
-            backend=backend,
-        )
-        # Per-trial metrics merged in trial order: bit-identical to pooling
-        # one route_pairs call per trial.
-        for index in range(len(trial_masks)):
-            metrics = outcome.sliced(index * pairs, (index + 1) * pairs).to_metrics()
-            pooled = metrics if pooled is None else pooled.merged_with(metrics)
-    if pooled is None:
-        pooled = summarize_routes([])
-    return StaticResilienceResult(
-        geometry=overlay.geometry_name,
-        system=overlay.system_name,
-        d=overlay.d,
-        q=q,
-        trials=trials,
-        pairs_per_trial=pairs,
-        metrics=pooled,
-        degenerate_trials=degenerate,
-        failure_model=model_label,
+    return _pooled_point(
+        overlay.geometry_name,
+        overlay.system_name,
+        overlay.d,
+        q,
+        pairs,
+        trial_metrics,
+        model_label,
     )
 
 
@@ -458,8 +433,8 @@ def _adaptive_sweep(
     """The adaptive branch of :func:`sweep_failure_probabilities`.
 
     Each trial of a point is one engine grid cell (``replicate = trial
-    index``) sampled with the per-cell entropy streams of
-    :func:`~repro.sim.engine._sample_cell`, so the allocator can extend any
+    index``) sampled from its own per-cell entropy stream and routed
+    through the engine's fused core, so the allocator can extend any
     point's trial count without perturbing another point's stream — the
     property uniform sequential ``rng`` consumption cannot provide.
     """
@@ -505,73 +480,28 @@ def _adaptive_sweep(
     ]
 
     def run_round(batch):
-        # Mirror the engine's fused group: sample every cell's mask/pairs
-        # from its own stream, then route all non-degenerate cells in one
-        # stacked kernel invocation.
-        results: Dict[SweepCell, SweepCellResult] = {}
-        masks: List[np.ndarray] = []
-        sources: List[np.ndarray] = []
-        destinations: List[np.ndarray] = []
-        routed: List[SweepCell] = []
-        for cell in batch:
-            sampled = _sample_cell(overlay, cell, pairs, base_seed)
-            if sampled is None:
-                results[cell] = SweepCellResult(
-                    cell=cell, pairs=pairs, metrics=_empty_outcome().to_metrics(), degenerate=True
-                )
-                continue
-            alive, cell_sources, cell_destinations = sampled
-            masks.append(alive)
-            sources.append(cell_sources)
-            destinations.append(cell_destinations)
-            routed.append(cell)
-        if routed:
-            outcome = route_pairs_stacked(
-                overlay,
-                np.concatenate(sources),
-                np.concatenate(destinations),
-                np.stack(masks),
-                np.repeat(np.arange(len(routed), dtype=np.int64), pairs),
-                batch_size=batch_size,
-                backend=resolved_backend,
-            )
-            for index, cell in enumerate(routed):
-                cell_outcome = outcome.sliced(index * pairs, (index + 1) * pairs)
-                results[cell] = SweepCellResult(
-                    cell=cell, pairs=pairs, metrics=cell_outcome.to_metrics()
-                )
-        return results
+        results = _route_cells(
+            overlay, batch, pairs, base_seed, batch_size=batch_size, backend=resolved_backend
+        )
+        return {result.cell: result for result in results}
 
     results, report = run_allocation(points, run_round, config)
-    point_results = []
-    for point, allocation in zip(points, report.allocations):
-        pooled: Optional[RoutingMetrics] = None
-        degenerate = 0
-        for result in results[point]:
-            if result.degenerate:
-                degenerate += 1
-                continue
-            pooled = result.metrics if pooled is None else pooled.merged_with(result.metrics)
-        if pooled is None:
-            pooled = summarize_routes([])
-        point_results.append(
-            StaticResilienceResult(
-                geometry=overlay.geometry_name,
-                system=overlay.system_name,
-                d=overlay.d,
-                q=point.q,
-                trials=allocation.trials,
-                pairs_per_trial=pairs,
-                metrics=pooled,
-                degenerate_trials=degenerate,
-                failure_model=model_kind,
-            )
-        )
     return ResilienceSweepResult(
         geometry=overlay.geometry_name,
         system=overlay.system_name,
         d=overlay.d,
-        results=tuple(point_results),
+        results=tuple(
+            _pooled_point(
+                overlay.geometry_name,
+                overlay.system_name,
+                overlay.d,
+                point.q,
+                pairs,
+                [_cell_metrics(result) for result in results[point]],
+                model_kind,
+            )
+            for point in points
+        ),
         backend_name=resolved_backend.name,
         failure_model=model_kind,
     )

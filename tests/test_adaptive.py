@@ -384,14 +384,11 @@ def _pool_prefix(cell_results, q, k, model="uniform"):
 
 class TestEngineStreamDiscipline:
     @pytest.mark.parametrize("workers", [1, 3, 4])
-    @pytest.mark.parametrize("fused", [True, False])
-    def test_adaptive_rows_pool_the_uniform_prefix(self, workers, fused):
+    def test_adaptive_rows_pool_the_uniform_prefix(self, workers):
         # The adaptive sweep's every point must pool exactly the uniform
-        # grid's first-k cells — for any worker count and both dispatch
-        # modes, because rounds are replicate indices, not fresh draws.
-        with SweepRunner(
-            pairs=PAIRS, replicates=MAX_TRIALS, workers=workers, fused=fused
-        ) as runner:
+        # grid's first-k cells — for any worker count, because rounds are
+        # replicate indices, not fresh draws.
+        with SweepRunner(pairs=PAIRS, replicates=MAX_TRIALS, workers=workers) as runner:
             uniform_cells = runner.run([GEOMETRY], D, QS)
             adaptive = runner.sweep(GEOMETRY, D, QS, adaptive=CONFIG)
             report = runner.last_adaptive_report
@@ -402,12 +399,10 @@ class TestEngineStreamDiscipline:
             assert result.metrics.successes == successes == allocation.successes
             assert result.trials == allocation.trials
 
-    def test_identical_rows_across_workers_and_dispatch_modes(self):
+    def test_identical_rows_across_workers(self):
         reference = None
-        for workers, fused in [(1, True), (3, True), (4, False)]:
-            with SweepRunner(
-                pairs=PAIRS, replicates=MAX_TRIALS, workers=workers, fused=fused
-            ) as runner:
+        for workers in (1, 3, 4):
+            with SweepRunner(pairs=PAIRS, replicates=MAX_TRIALS, workers=workers) as runner:
                 rows = runner.sweep(GEOMETRY, D, QS, adaptive=CONFIG).as_rows()
                 schedule = runner.last_adaptive_report.as_rows()
             if reference is None:

@@ -133,7 +133,7 @@ class TestSimulateChurn:
 
 
 class TestStateModes:
-    """``state_mode`` changes how the state is produced, never what is measured."""
+    """How the routing state is produced never changes what is measured."""
 
     @pytest.fixture(scope="class")
     def config(self):
@@ -145,30 +145,17 @@ class TestStateModes:
             repair_every=3,
         )
 
-    def test_incremental_matches_rebuild_bit_for_bit(self, overlay, config):
-        incremental = simulate_churn(overlay, config, seed=11, state_mode="incremental")
-        rebuild = simulate_churn(overlay, config, seed=11, state_mode="rebuild")
-        assert incremental.as_rows() == rebuild.as_rows()
-
     def test_batch_matches_scalar_engine(self, overlay, config):
         batch = simulate_churn(overlay, config, seed=11)
         scalar = simulate_churn(overlay, config, seed=11, engine="scalar")
         assert batch.as_rows() == scalar.as_rows()
 
-    def test_rng_stream_is_identical_across_state_modes(self, overlay, config):
+    def test_rng_stream_is_identical_across_engines(self, overlay, config):
         # The RNG-discipline contract: per step, the generator is consumed
         # only by the churn draw and by pair sampling — state maintenance
-        # draws nothing.  So after two runs differing only in state_mode the
-        # generator must sit at the same point of its stream, which we
-        # observe through the numbers it yields next.
-        leftovers = []
-        for state_mode in ("incremental", "rebuild"):
-            generator = np.random.default_rng(77)
-            simulate_churn(overlay, config, rng=generator, state_mode=state_mode)
-            leftovers.append(generator.integers(0, 2**63, size=8).tolist())
-        assert leftovers[0] == leftovers[1]
-
-    def test_rng_stream_is_identical_across_engines(self, overlay, config):
+        # (which only the batch engine does) draws nothing.  So after two
+        # runs differing only in engine the generator must sit at the same
+        # point of its stream, observed through the numbers it yields next.
         leftovers = []
         for engine in ("batch", "scalar"):
             generator = np.random.default_rng(78)
@@ -176,9 +163,6 @@ class TestStateModes:
             leftovers.append(generator.integers(0, 2**63, size=8).tolist())
         assert leftovers[0] == leftovers[1]
 
-    def test_unknown_state_mode_rejected(self, overlay):
-        with pytest.raises(InvalidParameterError, match="state_mode"):
-            simulate_churn(overlay, ChurnConfig(), seed=1, state_mode="lazy")
 
 
 class TestTraceDrivenChurn:
@@ -214,14 +198,11 @@ class TestTraceDrivenChurn:
         result = simulate_churn(overlay, config, seed=3)
         assert all(row["effective_q"] is None for row in result.as_rows())
 
-    def test_state_modes_and_engines_agree_under_a_trace(self, overlay, trace):
+    def test_engines_agree_under_a_trace(self, overlay, trace):
         config = ChurnConfig(pairs_per_step=80, trace=trace, repair_every=2)
-        rows = [
-            simulate_churn(overlay, config, seed=7, state_mode="incremental").as_rows(),
-            simulate_churn(overlay, config, seed=7, state_mode="rebuild").as_rows(),
-            simulate_churn(overlay, config, seed=7, engine="scalar").as_rows(),
-        ]
-        assert rows[0] == rows[1] == rows[2]
+        batch = simulate_churn(overlay, config, seed=7).as_rows()
+        scalar = simulate_churn(overlay, config, seed=7, engine="scalar").as_rows()
+        assert batch == scalar
 
     def test_trace_node_count_mismatch_rejected(self, overlay):
         small = markov_trace(overlay.n_nodes // 2, 4, seed=5)

@@ -5,7 +5,8 @@ same invariant chain as the batch kernels: ``route_pairs_stacked`` must agree
 pair-for-pair with per-cell :func:`route_pairs` (which is itself
 property-tested against the scalar ``Overlay.route`` oracle), and
 ``SweepRunner``'s fused dispatch must produce bit-identical cell results to
-the per-cell dispatch for any worker count.
+routing every cell on its own (:func:`per_cell_reference`) for any worker
+count.
 """
 
 from __future__ import annotations
@@ -18,7 +19,14 @@ import pytest
 from repro.dht.failures import survival_mask
 from repro.exceptions import InvalidParameterError, RoutingError
 from repro.sim.churn import ChurnConfig, simulate_churn
-from repro.sim.engine import SweepRunner, route_pairs, route_pairs_stacked
+from repro.sim.engine import (
+    SweepCell,
+    SweepRunner,
+    _cached_overlay,
+    _sample_cell,
+    route_pairs,
+    route_pairs_stacked,
+)
 from repro.sim.sampling import sample_survivor_pair_arrays
 from repro.sim.static_resilience import build_overlay
 
@@ -33,6 +41,33 @@ def assert_metrics_equal(left, right):
     for field in ("mean_hops_successful", "mean_hops_failed"):
         a, b = getattr(left, field), getattr(right, field)
         assert a == b or (math.isnan(a) and math.isnan(b)), field
+
+
+def per_cell_reference(geometries, qs, *, pairs, replicates, base_seed, models=("uniform",)):
+    """Every grid cell routed alone: one ``route_pairs`` call on the cell's own
+    sampled mask and pairs.  Cell -> metrics, ``None`` for a degenerate cell."""
+    results = {}
+    for geometry in geometries:
+        for model in models:
+            for replicate in range(replicates):
+                overlay = _cached_overlay(geometry, SMALL_D, replicate, base_seed, ())
+                for q in qs:
+                    cell = SweepCell(geometry, SMALL_D, q, replicate, model)
+                    sampled = _sample_cell(overlay, cell, pairs, base_seed)
+                    if sampled is None:
+                        results[cell] = None
+                        continue
+                    alive, sources, destinations = sampled
+                    results[cell] = route_pairs(overlay, sources, destinations, alive).to_metrics()
+    return results
+
+
+def assert_matches_reference(fused, reference):
+    assert fused.keys() == reference.keys()
+    for cell, expected in reference.items():
+        assert fused[cell].degenerate == (expected is None), cell
+        if expected is not None:
+            assert_metrics_equal(fused[cell].metrics, expected)
 
 
 def stacked_cells(overlay, qs, count, seed):
@@ -195,7 +230,7 @@ class TestStackedRouting:
 
 
 class TestFusedSweepRunner:
-    """Fused dispatch is bit-identical to per-cell dispatch for any worker count."""
+    """Fused dispatch is bit-identical to per-cell routing for any worker count."""
 
     GEOMETRIES = ("tree", "hypercube", "xor", "ring", "smallworld")
     # q = 1.0 kills every node, so the grid includes degenerate cells.
@@ -203,18 +238,13 @@ class TestFusedSweepRunner:
 
     @pytest.mark.parametrize("workers", [1, 4])
     def test_fused_matches_per_cell(self, workers):
-        reference = SweepRunner(
-            pairs=80, replicates=2, workers=1, base_seed=606, fused=False
-        ).run(list(self.GEOMETRIES), SMALL_D, list(self.QS))
-        with SweepRunner(
-            pairs=80, replicates=2, workers=workers, base_seed=606, fused=True
-        ) as runner:
+        reference = per_cell_reference(
+            self.GEOMETRIES, self.QS, pairs=80, replicates=2, base_seed=606
+        )
+        with SweepRunner(pairs=80, replicates=2, workers=workers, base_seed=606) as runner:
             fused = runner.run(list(self.GEOMETRIES), SMALL_D, list(self.QS))
-        assert fused.keys() == reference.keys()
-        for cell, expected in reference.items():
-            assert fused[cell].degenerate == expected.degenerate, cell
-            assert fused[cell].pairs == expected.pairs, cell
-            assert_metrics_equal(fused[cell].metrics, expected.metrics)
+        assert all(result.pairs == 80 for result in fused.values())
+        assert_matches_reference(fused, reference)
 
     @pytest.mark.parametrize("geometry", GEOMETRIES)
     def test_fused_matches_per_cell_odd_workers_nondefault_batch(self, geometry):
@@ -222,17 +252,14 @@ class TestFusedSweepRunner:
         # with a non-default batch size exercises the chunked hop loop under
         # pooled fused dispatch; metrics must stay bit-identical to the
         # unchunked single-process per-cell reference.
-        reference = SweepRunner(
-            pairs=70, replicates=2, workers=1, base_seed=404, fused=False
-        ).run([geometry], SMALL_D, list(self.QS))
+        reference = per_cell_reference(
+            [geometry], self.QS, pairs=70, replicates=2, base_seed=404
+        )
         with SweepRunner(
-            pairs=70, replicates=2, workers=3, batch_size=17, base_seed=404, fused=True
+            pairs=70, replicates=2, workers=3, batch_size=17, base_seed=404
         ) as runner:
             fused = runner.run([geometry], SMALL_D, list(self.QS))
-        assert fused.keys() == reference.keys()
-        for cell, expected in reference.items():
-            assert fused[cell].degenerate == expected.degenerate, cell
-            assert_metrics_equal(fused[cell].metrics, expected.metrics)
+        assert_matches_reference(fused, reference)
 
     @pytest.mark.parametrize("geometry", GEOMETRIES)
     def test_churn_fused_epoch_matches_scalar_with_nondefault_batch(self, geometry):
@@ -254,22 +281,8 @@ class TestFusedSweepRunner:
             assert fused_step.usable_fraction == scalar_step.usable_fraction
             assert_metrics_equal(fused_step.metrics, scalar_step.metrics)
 
-    def test_per_cell_workers_match_fused_pool(self):
-        # Cross mode *and* worker count in one comparison.
-        per_cell = SweepRunner(
-            pairs=60, replicates=2, workers=4, base_seed=99, fused=False
-        )
-        fused = SweepRunner(pairs=60, replicates=2, workers=4, base_seed=99, fused=True)
-        with per_cell, fused:
-            a = per_cell.sweep("xor", SMALL_D, [0.1, 0.6])
-            b = fused.sweep("xor", SMALL_D, [0.1, 0.6])
-        assert a.routabilities == b.routabilities
-        for left, right in zip(a.results, b.results):
-            assert_metrics_equal(left.metrics, right.metrics)
-
     def test_fused_memoization_only_adds_missing_cells(self):
         with SweepRunner(pairs=40, replicates=1, workers=1, base_seed=11) as runner:
-            assert runner.fused
             runner.sweep("ring", SMALL_D, [0.1])
             assert runner.completed_cells == 1
             runner.sweep("ring", SMALL_D, [0.1, 0.4])
@@ -306,8 +319,8 @@ class TestFusedSweepRunner:
 
 
 class TestFailureModelGrid:
-    """The (geometry x model x severity x replicate) grid keeps the fused /
-    per-cell / worker bit-identity invariant for every failure model."""
+    """The (geometry x model x severity x replicate) grid keeps the fused vs
+    per-cell and worker bit-identity invariant for every failure model."""
 
     MODELS = ("uniform", "targeted", "regional", "subtree", "uniform+regional")
     QS = (0.15, 0.45, 1.0)  # includes all-degenerate cells at severity 1.0
@@ -315,18 +328,13 @@ class TestFailureModelGrid:
     @pytest.mark.parametrize("workers", [1, 3])
     def test_fused_matches_per_cell_across_models(self, workers):
         geometries = ["tree", "ring", "smallworld"]
-        reference = SweepRunner(
-            pairs=60, replicates=2, workers=1, base_seed=777, fused=False
-        ).run(geometries, SMALL_D, list(self.QS), list(self.MODELS))
-        with SweepRunner(
-            pairs=60, replicates=2, workers=workers, base_seed=777, fused=True
-        ) as runner:
+        reference = per_cell_reference(
+            geometries, self.QS, pairs=60, replicates=2, base_seed=777, models=self.MODELS
+        )
+        with SweepRunner(pairs=60, replicates=2, workers=workers, base_seed=777) as runner:
             fused = runner.run(geometries, SMALL_D, list(self.QS), list(self.MODELS))
-        assert fused.keys() == reference.keys()
         assert {cell.model for cell in fused} == set(self.MODELS)
-        for cell, expected in reference.items():
-            assert fused[cell].degenerate == expected.degenerate, cell
-            assert_metrics_equal(fused[cell].metrics, expected.metrics)
+        assert_matches_reference(fused, reference)
 
     def test_models_share_overlay_groups_but_not_results(self):
         with SweepRunner(pairs=50, replicates=1, workers=1, base_seed=31) as runner:
@@ -357,12 +365,10 @@ class TestFailureModelGrid:
         # Worker processes resolve the in-degree ranking from the published
         # shared-memory table; the ranking (and hence every mask) must match
         # the in-process build exactly.
-        serial = SweepRunner(
-            pairs=60, replicates=2, workers=1, base_seed=55, fused=True
-        ).run(["smallworld"], SMALL_D, [0.3, 0.6], ["targeted"])
-        with SweepRunner(
-            pairs=60, replicates=2, workers=4, base_seed=55, fused=True
-        ) as runner:
+        serial = SweepRunner(pairs=60, replicates=2, workers=1, base_seed=55).run(
+            ["smallworld"], SMALL_D, [0.3, 0.6], ["targeted"]
+        )
+        with SweepRunner(pairs=60, replicates=2, workers=4, base_seed=55) as runner:
             pooled = runner.run(["smallworld"], SMALL_D, [0.3, 0.6], ["targeted"])
         for cell, expected in serial.items():
             assert_metrics_equal(pooled[cell].metrics, expected.metrics)

@@ -243,7 +243,6 @@ class TestReverseNeighborIndex:
 class TestWorkerParity:
     """SweepRunner grids over every registered geometry are worker-invariant."""
 
-    @pytest.mark.parametrize("fused", [True, False], ids=["fused", "per-cell"])
-    def test_all_geometries_all_worker_counts(self, fused):
-        cells = assert_worker_parity(conformance_geometries(), "numpy", fused=fused)
+    def test_all_geometries_all_worker_counts(self):
+        cells = assert_worker_parity(conformance_geometries(), "numpy")
         assert cells == len(conformance_geometries()) * 2 * 2 * len(WORKER_COUNTS)

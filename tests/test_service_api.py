@@ -189,7 +189,6 @@ class TestCacheSemantics:
             raise AssertionError(f"kernel execution attempted for {len(pending)} cells")
 
         monkeypatch.setattr(SweepRunner, "_run_fused", _no_kernels)
-        monkeypatch.setattr(SweepRunner, "_run_per_cell", _no_kernels)
 
         with SweepService(_config(store_path)) as service:
             job = service.jobs.submit(GRID)
