@@ -286,8 +286,6 @@ class SweepJob:
         self._cells_done = 0
         self._cells_cached = 0
         self._cells_computed = 0
-        self._store_hits = 0
-        self._adaptive_trials_saved = 0
         self._retries = 0
         self._created = time.time()
         self._started: Optional[float] = None
@@ -310,14 +308,7 @@ class SweepJob:
             if shard.attempts > 1:
                 self._retries += 1
 
-    def _shard_done(
-        self,
-        index: int,
-        result: Dict[str, object],
-        stats: SweepRunStats,
-        *,
-        trials_saved: int = 0,
-    ) -> None:
+    def _shard_done(self, index: int, result: Dict[str, object], stats: SweepRunStats) -> None:
         with self._lock:
             shard = self._shards[index]
             shard.state = "done"
@@ -326,8 +317,6 @@ class SweepJob:
             self._cells_done += stats.requested
             self._cells_cached += stats.cached
             self._cells_computed += stats.computed
-            self._store_hits += stats.store_hits
-            self._adaptive_trials_saved += trials_saved
 
     def _shard_failed(self, index: int, error: str) -> None:
         with self._lock:
@@ -474,26 +463,6 @@ class SweepJob:
         with self._lock:
             return self._state, list(self._results)
 
-    def cache_counts(self) -> Tuple[int, int]:
-        """``(cells_cached, cells_computed)`` so far."""
-        with self._lock:
-            return self._cells_cached, self._cells_computed
-
-    def cell_counts(self) -> Tuple[int, int, int, int]:
-        """``(requested, cached, computed, store_hits)`` so far.
-
-        ``cached`` counts memo *and* store hits; ``store_hits`` is the
-        persistent-store subset (the operator-facing cache-effectiveness
-        signal the ``/metrics`` endpoint exposes).
-        """
-        with self._lock:
-            return self._cells_done, self._cells_cached, self._cells_computed, self._store_hits
-
-    def adaptive_trials_saved(self) -> int:
-        """Trials adaptive allocation avoided versus the uniform grid."""
-        with self._lock:
-            return self._adaptive_trials_saved
-
     def retry_count(self) -> int:
         """Total shard retry attempts (attempts beyond each shard's first)."""
         with self._lock:
@@ -564,6 +533,12 @@ class JobManager:
         self._registry_lock = threading.Lock()
         self._stats_lock = threading.Lock()
         self._rejected = {reason: 0 for reason in REJECTION_REASONS}
+        # Service-lifetime counters behind /metrics.  They accumulate as
+        # shards finish (retries as they start), so evicting a job from the
+        # retained table never lowers them.
+        self._cells = {"requested": 0, "cached": 0, "computed": 0, "store_hits": 0}
+        self._trials_saved = 0
+        self._retries = 0
         self._durations: Dict[str, Dict[str, float]] = {}
         self._tokens = max(1.0, self._rate) if self._rate else 0.0
         self._bucket_updated = time.monotonic()
@@ -684,33 +659,34 @@ class JobManager:
             counts[job.state] += 1
         return counts
 
-    def cache_totals(self) -> Tuple[int, int]:
-        """Aggregate ``(cells_cached, cells_computed)`` across every job."""
-        cached = computed = 0
-        for job in self.jobs():
-            job_cached, job_computed = job.cache_counts()
-            cached += job_cached
-            computed += job_computed
-        return cached, computed
-
     def cell_totals(self) -> Tuple[int, int, int, int]:
-        """Aggregate ``(requested, cached, computed, store_hits)`` across every job."""
-        requested = cached = computed = store_hits = 0
-        for job in self.jobs():
-            job_requested, job_cached, job_computed, job_store = job.cell_counts()
-            requested += job_requested
-            cached += job_cached
-            computed += job_computed
-            store_hits += job_store
-        return requested, cached, computed, store_hits
+        """``(requested, cached, computed, store_hits)`` over every completed shard.
+
+        ``cached`` counts memo *and* store hits; ``store_hits`` is the
+        persistent-store subset (the operator-facing cache-effectiveness
+        signal the ``/metrics`` endpoint exposes).
+        """
+        with self._stats_lock:
+            cells = self._cells
+            return cells["requested"], cells["cached"], cells["computed"], cells["store_hits"]
 
     def adaptive_trials_saved_total(self) -> int:
-        """Aggregate trials saved by adaptive allocation across every job."""
-        return sum(job.adaptive_trials_saved() for job in self.jobs())
+        """Trials adaptive allocation avoided versus the uniform grid, over every shard."""
+        with self._stats_lock:
+            return self._trials_saved
 
     def retries_total(self) -> int:
-        """Total shard retry attempts across every retained job."""
-        return sum(job.retry_count() for job in self.jobs())
+        """Shard retry attempts (attempts beyond each shard's first), over every job."""
+        with self._stats_lock:
+            return self._retries
+
+    def _record_shard_done(self, stats: SweepRunStats, trials_saved: int) -> None:
+        with self._stats_lock:
+            self._cells["requested"] += stats.requested
+            self._cells["cached"] += stats.cached
+            self._cells["computed"] += stats.computed
+            self._cells["store_hits"] += stats.store_hits
+            self._trials_saved += trials_saved
 
     def rejected_counts(self) -> Dict[str, int]:
         """Submissions refused by admission control, by reason."""
@@ -899,6 +875,9 @@ class JobManager:
         attempts_allowed = 1 + self._shard_retries
         for attempt in range(1, attempts_allowed + 1):
             job._shard_attempt(index)
+            if attempt > 1:
+                with self._stats_lock:
+                    self._retries += 1
             outcome: Dict[str, object] = {}
             worker = threading.Thread(
                 target=self._attempt_shard,
@@ -922,12 +901,8 @@ class JobManager:
                 return
             error = outcome.get("error")
             if error is None:
-                job._shard_done(
-                    index,
-                    outcome["result"],
-                    outcome["stats"],
-                    trials_saved=int(outcome.get("trials_saved", 0)),
-                )
+                job._shard_done(index, outcome["result"], outcome["stats"])
+                self._record_shard_done(outcome["stats"], int(outcome.get("trials_saved", 0)))
                 return
             if attempt >= attempts_allowed or not _is_transient(error):
                 job._shard_failed(index, f"{type(error).__name__}: {error}")

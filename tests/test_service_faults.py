@@ -666,6 +666,25 @@ class TestBackpressureExceptionTypes:
             jobs.submit(GRID)  # eviction runs on the submission path
             assert jobs.get(job.job_id) is None
 
+    def test_metrics_counters_survive_job_eviction(self, tmp_path):
+        config = ServiceConfig(
+            store_path=str(tmp_path / "cells.db"),
+            pairs=PAIRS,
+            trials=TRIALS,
+            seed=SEED,
+            max_retained_jobs=1,
+            job_ttl=None,
+        )
+        with SweepService(config) as service:
+            # Distinct seeds: each 4-cell job computes its cells afresh.
+            for seed in (1, 2, 3):
+                wait_terminal(service.jobs.submit({**GRID, "seed": seed}))
+            assert len(service.jobs.jobs()) == 2  # the first job was evicted
+            lines = service.metrics_text().splitlines()
+        assert "rcm_cells_requested_total 12" in lines
+        assert "rcm_cells_computed_total 12" in lines
+        assert "rcm_cells_cached_total 0" in lines
+
     def test_max_retained_jobs_caps_the_table(self, tmp_path):
         with manager(tmp_path, max_retained_jobs=2, job_ttl=None) as jobs:
             finished = [jobs.submit(GRID) for _ in range(3)]
