@@ -92,6 +92,7 @@ __all__ = [
 #: advancing the hop kernels, and reducing per-pair outcomes to metrics.
 CHURN_PROFILE_PHASES = ("mask_delta", "state_update", "kernel_hops", "reduction")
 
+
 @dataclass(frozen=True)
 class ChurnConfig:
     """Parameters of the churn process and of the measurement.

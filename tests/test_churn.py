@@ -164,7 +164,6 @@ class TestStateModes:
         assert leftovers[0] == leftovers[1]
 
 
-
 class TestTraceDrivenChurn:
     @pytest.fixture(scope="class")
     def trace(self, overlay):

@@ -23,6 +23,7 @@ from repro.sim.engine import (
     SweepCell,
     SweepRunner,
     _cached_overlay,
+    _route_samples,
     _sample_cell,
     route_pairs,
     route_pairs_stacked,
@@ -227,6 +228,41 @@ class TestStackedRouting:
         assert np.array_equal(whole.succeeded, split.succeeded)
         assert np.array_equal(whole.hops, split.hops)
         assert np.array_equal(whole.failure_codes, split.failure_codes)
+
+
+class TestRouteSamplesCore:
+    """The shared route-and-reduce core every sweep driver routes through."""
+
+    def test_degenerate_samples_keep_their_slots(self, small_overlays, geometry_name):
+        overlay = small_overlays[geometry_name]
+        masks, sources, destinations = stacked_cells(overlay, (0.1, 0.5), 40, seed=17)
+        # Unequal pair counts per sample, interleaved with degenerate slots.
+        routed = [
+            (alive, src[:size], dst[:size])
+            for alive, src, dst, size in zip(masks, sources, destinations, (40, 13))
+        ]
+        samples = [None, routed[0], None, *routed[1:]]
+        metrics = _route_samples(overlay, samples, batch_size=None, backend="numpy")
+        assert len(metrics) == len(samples)
+        expected = iter(routed)
+        for sample, measured in zip(samples, metrics):
+            if sample is None:
+                assert measured is None
+                continue
+            alive, src, dst = next(expected)
+            assert_metrics_equal(measured, route_pairs(overlay, src, dst, alive).to_metrics())
+
+    def test_all_degenerate_batch_routes_nothing(self, small_overlays, monkeypatch):
+        def no_routing(*args, **kwargs):
+            raise AssertionError("an all-degenerate batch must not reach the kernels")
+
+        import repro.sim.engine as engine_module
+
+        monkeypatch.setattr(engine_module, "route_pairs_stacked", no_routing)
+        metrics = _route_samples(
+            small_overlays["xor"], [None, None], batch_size=None, backend="numpy"
+        )
+        assert metrics == [None, None]
 
 
 class TestFusedSweepRunner:
