@@ -654,7 +654,7 @@ def _command_simulate(arguments: argparse.Namespace) -> str:
             if cell_store is not None:
                 stats = runner.last_run_stats
                 print(
-                    f"[store] {stats.cached} of {stats.requested} cells served from "
+                    f"[store] {stats.store_hits} of {stats.requested} cells served from "
                     f"{arguments.store} ({stats.computed} computed)",
                     file=sys.stderr,
                 )

@@ -60,13 +60,20 @@ class AdaptiveSampling(Experiment):
         curves: List[Dict[str, object]] = []
         schedule: List[Dict[str, object]] = []
         summary: List[Dict[str, object]] = []
-        with SweepRunner(
+        # Imported here so importing the experiment registry loads no sqlite.
+        from ..service.store import ResultStore
+
+        # Each adaptive sweep pools the first k cells of the uniform sweep
+        # before it; a process-local store serves them instead of
+        # recomputing.
+        with ResultStore.open(":memory:") as cells, SweepRunner(
             pairs=workload.pairs,
             replicates=trials,
             workers=config.workers,
             batch_size=config.batch_size,
             backend=config.backend if config.engine == "batch" else None,
             base_seed=workload.derived_seed("adaptive-sampling"),
+            cell_store=cells,
         ) as runner:
             for geometry in ADAPTIVE_GEOMETRIES:
                 uniform = runner.sweep(geometry, d, failure_probabilities)

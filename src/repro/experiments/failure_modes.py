@@ -25,7 +25,7 @@ bit-identity guarantees across engines and worker counts.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..dht import OVERLAY_CLASSES
 from ..sim.engine import SweepRunner
@@ -63,48 +63,41 @@ class FailureModeComparison(Experiment):
         workload = config.resolved_workload()
         severities = paper_failure_probabilities(fast=config.fast)
 
-        sweeps: Dict[str, Dict[str, ResilienceSweepResult]] = {}
-        runner: Optional[SweepRunner] = None
-        try:
-            if config.engine == "batch":
-                runner = SweepRunner(
-                    pairs=workload.pairs,
-                    replicates=workload.trials,
-                    workers=config.workers,
-                    batch_size=config.batch_size,
-                    backend=config.backend,
-                    base_seed=workload.derived_seed("failmodes"),
-                )
+        batch_sweeps: Dict[Tuple[str, str], ResilienceSweepResult] = {}
+        if config.engine == "batch":
+            with SweepRunner(
+                pairs=workload.pairs,
+                replicates=workload.trials,
+                workers=config.workers,
+                batch_size=config.batch_size,
+                backend=config.backend,
+                base_seed=workload.derived_seed("failmodes"),
+            ) as runner:
                 # One dispatch over the whole (geometry x model x severity x
                 # replicate) grid: cells of different models share overlay
-                # builds, so the fused groups span the model axis too.  The
-                # per-(model, geometry) sweeps below are served from the memo.
-                runner.run(
+                # builds, so the fused groups span the model axis too.
+                batch_sweeps = runner.sweeps(
                     list(FAILMODE_GEOMETRIES), d, severities, list(FAILMODE_MODELS)
                 )
-            for model in FAILMODE_MODELS:
-                sweeps[model] = {}
-                for geometry in FAILMODE_GEOMETRIES:
-                    if runner is not None:
-                        sweeps[model][geometry] = runner.sweep(
-                            geometry, d, severities, failure_model=model
-                        )
-                    else:
-                        sweeps[model][geometry] = simulate_geometry(
-                            geometry,
-                            d,
-                            severities,
-                            pairs=workload.pairs,
-                            trials=workload.trials,
-                            seed=workload.derived_seed(f"failmodes-{model}-{geometry}"),
-                            failure_models=model,
-                            engine=config.engine,
-                            batch_size=config.batch_size,
-                            backend=config.backend,
-                        )
-        finally:
-            if runner is not None:
-                runner.close()
+        sweeps: Dict[str, Dict[str, ResilienceSweepResult]] = {}
+        for model in FAILMODE_MODELS:
+            sweeps[model] = {}
+            for geometry in FAILMODE_GEOMETRIES:
+                if batch_sweeps:
+                    sweeps[model][geometry] = batch_sweeps[geometry, model]
+                else:
+                    sweeps[model][geometry] = simulate_geometry(
+                        geometry,
+                        d,
+                        severities,
+                        pairs=workload.pairs,
+                        trials=workload.trials,
+                        seed=workload.derived_seed(f"failmodes-{model}-{geometry}"),
+                        failure_models=model,
+                        engine=config.engine,
+                        batch_size=config.batch_size,
+                        backend=config.backend,
+                    )
 
         tables: Dict[str, List[Dict[str, object]]] = {}
         for model in FAILMODE_MODELS:

@@ -77,43 +77,41 @@ class Fig7aAsymptoticLimit(Experiment):
             )
 
         # Finite-size anchor: measure the same curves at a simulable size.
-        runner: Optional[SweepRunner] = None
         validation_rows: List[Dict[str, object]] = [dict(q=q) for q in failure_probabilities]
-        try:
-            if config.engine == "batch":
-                runner = SweepRunner(
+        batch_sweeps = {}
+        if config.engine == "batch":
+            with SweepRunner(
+                pairs=workload.pairs,
+                replicates=workload.trials,
+                workers=config.workers,
+                batch_size=config.batch_size,
+                backend=config.backend,
+                base_seed=workload.derived_seed("fig7a-sim"),
+            ) as runner:
+                batch_sweeps = runner.sweeps(
+                    list(PAPER_GEOMETRIES), validation_d, failure_probabilities
+                )
+        for geometry in PAPER_GEOMETRIES:
+            analytical_at_d = failed_path_curve(geometry, failure_probabilities, d=validation_d)
+            if batch_sweeps:
+                sweep = batch_sweeps[geometry, "uniform"]
+            else:
+                sweep = simulate_geometry(
+                    geometry,
+                    validation_d,
+                    failure_probabilities,
                     pairs=workload.pairs,
-                    replicates=workload.trials,
-                    workers=config.workers,
+                    trials=workload.trials,
+                    seed=workload.derived_seed(f"fig7a-{geometry}"),
+                    engine=config.engine,
                     batch_size=config.batch_size,
                     backend=config.backend,
-                    base_seed=workload.derived_seed("fig7a-sim"),
                 )
-                runner.run(list(PAPER_GEOMETRIES), validation_d, failure_probabilities)
-            for geometry in PAPER_GEOMETRIES:
-                analytical_at_d = failed_path_curve(geometry, failure_probabilities, d=validation_d)
-                if runner is not None:
-                    sweep = runner.sweep(geometry, validation_d, failure_probabilities)
-                else:
-                    sweep = simulate_geometry(
-                        geometry,
-                        validation_d,
-                        failure_probabilities,
-                        pairs=workload.pairs,
-                        trials=workload.trials,
-                        seed=workload.derived_seed(f"fig7a-{geometry}"),
-                        engine=config.engine,
-                        batch_size=config.batch_size,
-                        backend=config.backend,
-                    )
-                for row, analytical_value, simulated_value in zip(
-                    validation_rows, analytical_at_d.y_values, sweep.failed_path_percentages
-                ):
-                    row[f"{geometry}_analytical"] = analytical_value
-                    row[f"{geometry}_simulated"] = simulated_value
-        finally:
-            if runner is not None:
-                runner.close()
+            for row, analytical_value, simulated_value in zip(
+                validation_rows, analytical_at_d.y_values, sweep.failed_path_percentages
+            ):
+                row[f"{geometry}_analytical"] = analytical_value
+                row[f"{geometry}_simulated"] = simulated_value
 
         return self._result(
             parameters={

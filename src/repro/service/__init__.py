@@ -4,10 +4,10 @@ This package turns the library/CLI-only sweep engine into a long-running
 service tier (ROADMAP north star: *serve heavy traffic*):
 
 * :mod:`~repro.service.store` — :class:`ResultStore`, the persistent
-  on-disk cell cache keyed by each cell's deterministic identity; the
-  in-memory :class:`~repro.sim.engine.SweepRunner` memo generalised across
-  processes and requests, so an identical cell is **never** simulated
-  twice.
+  on-disk cell cache keyed by each cell's deterministic identity and the
+  only cell cache a :class:`~repro.sim.engine.SweepRunner` consults, so an
+  identical cell is **never** simulated twice across processes and
+  requests.
 * :mod:`~repro.service.jobs` — submissions, the ``queued → running → done
   | done_with_errors | failed | cancelled`` lifecycle, per-shard execution
   units with bounded retries, watchdog timeouts and cooperative

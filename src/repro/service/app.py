@@ -159,7 +159,7 @@ class SweepService:
 
     def metrics_text(self) -> str:
         """The ``GET /metrics`` body (Prometheus text exposition format)."""
-        requested, cached, computed, store_hits = self.jobs.cell_totals()
+        requested, cached, computed = self.jobs.cell_totals()
         lines = [
             "# HELP rcm_jobs_total Jobs accepted by this instance, by lifecycle state.",
             "# TYPE rcm_jobs_total gauge",
@@ -176,9 +176,9 @@ class SweepService:
             "# HELP rcm_cells_computed_total Sweep cells actually simulated.",
             "# TYPE rcm_cells_computed_total counter",
             f"rcm_cells_computed_total {computed}",
-            "# HELP rcm_store_hits_total Sweep cells recalled from the persistent result store (cache hits minus in-memory memo hits).",
+            "# HELP rcm_store_hits_total Sweep cells recalled from the persistent result store (the same count as rcm_cells_cached_total).",
             "# TYPE rcm_store_hits_total counter",
-            f"rcm_store_hits_total {store_hits}",
+            f"rcm_store_hits_total {cached}",
             "# HELP rcm_adaptive_trials_saved_total Trials adaptive allocation avoided versus the uniform grid.",
             "# TYPE rcm_adaptive_trials_saved_total counter",
             f"rcm_adaptive_trials_saved_total {self.jobs.adaptive_trials_saved_total()}",

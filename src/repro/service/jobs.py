@@ -74,6 +74,9 @@ __all__ = [
     "JobManager",
 ]
 
+#: Runners (each with its persistent worker pool) kept alive across jobs.
+_MAX_RUNNERS = 4
+
 #: The job lifecycle, in order.  ``queued`` jobs wait for a thread-pool
 #: slot; ``done_with_errors`` carries partial results (some shards failed
 #: or timed out); ``failed`` means every shard failed; ``cancelled`` jobs
@@ -315,7 +318,7 @@ class SweepJob:
             shard.error = None
             self._results.append(result)
             self._cells_done += stats.requested
-            self._cells_cached += stats.cached
+            self._cells_cached += stats.store_hits
             self._cells_computed += stats.computed
 
     def _shard_failed(self, index: int, error: str) -> None:
@@ -500,7 +503,6 @@ class JobManager:
         backend: Optional[str] = None,
         batch_size: Optional[int] = None,
         max_jobs: int = 2,
-        max_runners: int = 4,
         max_queued: int = 16,
         rate_limit: Optional[float] = None,
         job_ttl: Optional[float] = 3600.0,
@@ -517,7 +519,6 @@ class JobManager:
         self._workers = workers
         self._backend = backend
         self._batch_size = batch_size
-        self._max_runners = max_runners
         self._max_queued = max(0, int(max_queued))
         self._rate = float(rate_limit) if rate_limit else None
         self._job_ttl = float(job_ttl) if job_ttl is not None else None
@@ -536,7 +537,7 @@ class JobManager:
         # Service-lifetime counters behind /metrics.  They accumulate as
         # shards finish (retries as they start), so evicting a job from the
         # retained table never lowers them.
-        self._cells = {"requested": 0, "cached": 0, "computed": 0, "store_hits": 0}
+        self._cells = {"requested": 0, "cached": 0, "computed": 0}
         self._trials_saved = 0
         self._retries = 0
         self._durations: Dict[str, Dict[str, float]] = {}
@@ -659,16 +660,15 @@ class JobManager:
             counts[job.state] += 1
         return counts
 
-    def cell_totals(self) -> Tuple[int, int, int, int]:
-        """``(requested, cached, computed, store_hits)`` over every completed shard.
+    def cell_totals(self) -> Tuple[int, int, int]:
+        """``(requested, cached, computed)`` over every completed shard.
 
-        ``cached`` counts memo *and* store hits; ``store_hits`` is the
-        persistent-store subset (the operator-facing cache-effectiveness
-        signal the ``/metrics`` endpoint exposes).
+        ``cached`` counts cells recalled from the persistent store, the only
+        cell cache.
         """
         with self._stats_lock:
             cells = self._cells
-            return cells["requested"], cells["cached"], cells["computed"], cells["store_hits"]
+            return cells["requested"], cells["cached"], cells["computed"]
 
     def adaptive_trials_saved_total(self) -> int:
         """Trials adaptive allocation avoided versus the uniform grid, over every shard."""
@@ -683,9 +683,8 @@ class JobManager:
     def _record_shard_done(self, stats: SweepRunStats, trials_saved: int) -> None:
         with self._stats_lock:
             self._cells["requested"] += stats.requested
-            self._cells["cached"] += stats.cached
+            self._cells["cached"] += stats.store_hits
             self._cells["computed"] += stats.computed
-            self._cells["store_hits"] += stats.store_hits
             self._trials_saved += trials_saved
 
     def rejected_counts(self) -> Dict[str, int]:
@@ -720,8 +719,7 @@ class JobManager:
 
         Evicted runners release their worker pools only when idle; a busy
         runner is dropped from the LRU and cleans itself up when its last
-        shard finishes.  Memoized cells survive in the persistent store
-        either way.
+        shard finishes.
         """
         self._faults.fire("worker-pool")
         key = (request.pairs, request.trials, request.seed)
@@ -739,7 +737,7 @@ class JobManager:
                 )
                 self._runners[key] = runner
                 self._runner_locks[key] = threading.Lock()
-                while len(self._runners) > self._max_runners:
+                while len(self._runners) > _MAX_RUNNERS:
                     evicted_key, evicted = self._runners.popitem(last=False)
                     evicted_lock = self._runner_locks.pop(evicted_key)
                     if evicted_lock.acquire(blocking=False):
@@ -829,9 +827,7 @@ class JobManager:
                 result = self._churn_shard(job.request, geometry)
                 outcome["result"] = result
                 steps = len(result["rows"])
-                outcome["stats"] = SweepRunStats(
-                    requested=steps, memo_hits=0, store_hits=0, computed=steps
-                )
+                outcome["stats"] = SweepRunStats(requested=steps, store_hits=0, computed=steps)
                 return
             key, runner, lock = self._acquire_runner(job.request)
             outcome["runner_key"] = key

@@ -268,8 +268,8 @@ def build_routes(service) -> List[Route]:
                 "counts and errors — a shard that exhausts its retries or hits the "
                 "wall-clock timeout is failed without aborting the job) plus per-job "
                 "cell accounting: cached counts cells served from the persistent result "
-                "store or runner memo (zero kernel executions), computed counts cells "
-                "actually simulated.  404 for unknown job ids."
+                "store (zero kernel executions), computed counts cells actually "
+                "simulated.  404 for unknown job ids."
             ),
             handler=job_status,
             response_schema=schemas.JOB_STATUS_SCHEMA,

@@ -251,7 +251,7 @@ JOB_STATUS_SCHEMA: Dict = {
             "properties": {
                 "total": {"type": "integer"},
                 "done": {"type": "integer"},
-                "cached": {"type": "integer", "description": "Served from the persistent store or memo — zero kernel executions."},
+                "cached": {"type": "integer", "description": "Served from the persistent result store — zero kernel executions."},
                 "computed": {"type": "integer", "description": "Actually simulated by the engine."},
             },
         },

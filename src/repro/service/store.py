@@ -1,10 +1,10 @@
 """Persistent on-disk result store: the cross-process sweep cell cache.
 
-The :class:`~repro.sim.engine.SweepRunner` memoizes completed cells in
-memory, so a single process never simulates the same cell twice.  This
-module extends that guarantee across processes and across time: a
-:class:`ResultStore` persists every completed :class:`SweepCellResult` to a
-single SQLite file keyed by the cell's *deterministic identity* — the same
+A :class:`~repro.sim.engine.SweepRunner` keeps no per-cell state; the
+:class:`ResultStore` attached to it is the one cell cache.  It persists
+every completed :class:`SweepCellResult` to a single SQLite file (or to an
+in-memory database, ``ResultStore.open(":memory:")``) keyed by the cell's
+*deterministic identity* — the same
 ``(geometry, d, replicate, q[, model])`` entropy key the engine seeds each
 cell from, plus the run parameters that pin the cell's random streams
 (``pairs``, ``base_seed``, overlay options).  Because a cell's result is a

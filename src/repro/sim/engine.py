@@ -38,12 +38,12 @@ Layered on top:
   bit-identical to routing each cell separately.
 * :class:`SweepRunner` — fan a ``(geometry × failure-model × severity ×
   replicate)`` grid out across ``multiprocessing`` workers, with
-  deterministic per-cell seeding (identical results for any worker count)
-  and memoization of completed cells.  The failure-model axis draws from
-  the scenario library in :mod:`repro.dht.failures` (uniform, targeted,
-  regional, subtree, composite), and mask generation is held to the same
-  bit-identity invariant as routing: every model produces the same masks on
-  the scalar, batch and fused paths.  Cells that share an overlay build are
+  deterministic per-cell seeding (identical results for any worker count);
+  an attached result store is the one cell cache.  The failure-model axis
+  draws from the scenario library in :mod:`repro.dht.failures` (uniform,
+  targeted, regional, subtree, composite), and mask generation is held to
+  the same bit-identity invariant as routing: every model produces the same
+  masks on the scalar, batch and fused paths.  Cells that share an overlay build are
   dispatched as one fused task, and the overlay's routing tables are
   published to the workers once via ``multiprocessing.shared_memory``
   instead of being rebuilt per process.
@@ -526,7 +526,7 @@ class SweepCell:
     model, the failed fraction for the targeted/correlated models.  Each
     cell derives its own random seeds from the runner's base seed, so its
     result is a pure function of the cell key — the property that makes
-    worker fan-out deterministic and memoization sound.
+    worker fan-out deterministic and result caching sound.
     """
 
     geometry: str
@@ -550,24 +550,19 @@ class SweepCellResult:
 
 @dataclass(frozen=True)
 class SweepRunStats:
-    """Cache accounting for one :meth:`SweepRunner.run` call.
-
-    ``requested`` counts every cell of the submitted grid; ``memo_hits``
-    were recalled from the runner's in-memory memo, ``store_hits`` from the
-    persistent cell store (when one is attached), and ``computed`` actually
-    ran kernels.  The three always sum to ``requested``.  The sweep service
-    surfaces these as the per-job cells-cached vs cells-computed counts.
-    """
+    """Cache accounting for one :meth:`SweepRunner.run_cells` call:
+    ``requested`` distinct cells = ``store_hits`` recalled from the attached
+    cell store + ``computed`` by the kernels."""
 
     requested: int
-    memo_hits: int
     store_hits: int
     computed: int
 
     @property
-    def cached(self) -> int:
-        """Cells served without kernel execution (memo + persistent store)."""
-        return self.memo_hits + self.store_hits
+    def memo_hits(self) -> int:
+        """Always 0: the runner keeps no in-memory cell memo.  The benchmark
+        tracer (``perfbench/tracing.py``) still reports this field."""
+        return 0
 
 
 def _cell_entropy(base_seed: int, purpose: str, cell_key: Tuple) -> List[int]:
@@ -972,8 +967,9 @@ class SweepRunner:
     Every cell of the grid is seeded independently from ``base_seed`` (see
     :class:`SweepCell`), so the measured metrics are identical for any
     ``workers`` setting and any execution order — ``workers`` only changes
-    wall-clock time.  Completed cells are memoized on the runner; re-running
-    an overlapping grid only computes the missing cells.
+    wall-clock time.  The runner keeps no per-cell state: an attached
+    ``cell_store`` is the only cell cache, so without one an identical grid
+    is computed again.
 
     All pending cells that share an overlay build — every ``q`` of one
     ``(geometry, replicate)`` — are dispatched as **one** task routed
@@ -1006,15 +1002,16 @@ class SweepRunner:
         ``near_neighbors``/``shortcuts`` for Symphony).
     cell_store:
         Optional persistent cell cache (duck-typed; canonically a
-        :class:`repro.service.store.ResultStore`).  Pending cells missing
-        from the in-memory memo are looked up in the store before any
-        kernel runs, and freshly computed cells are written back — so an
-        identical cell is never simulated twice across processes,
-        requests or CLI invocations.  Because every cell result is a pure
-        function of its ``(geometry, d, replicate, q[, model])`` identity
-        plus ``pairs``/``base_seed``/overlay options, recalled results are
-        bit-identical to recomputing them.  :attr:`last_run_stats` reports
-        the memo/store/computed split of the most recent :meth:`run`.
+        :class:`repro.service.store.ResultStore`; ``ResultStore.open(":memory:")``
+        gives a process-local one).  Requested cells are looked up in the
+        store before any kernel runs, and freshly computed cells are
+        written back — so an identical cell is never simulated twice
+        across processes, requests or CLI invocations.  Because every cell
+        result is a pure function of its ``(geometry, d, replicate,
+        q[, model])`` identity plus ``pairs``/``base_seed``/overlay
+        options, recalled results are bit-identical to recomputing them.
+        :attr:`last_run_stats` reports the store/computed split of the
+        most recent run.
     """
 
     def __init__(
@@ -1053,17 +1050,11 @@ class SweepRunner:
         self._spec_backend: BackendLike = resolved.name if canonical else resolved
         self._overlay_options = tuple(sorted((overlay_options or {}).items()))
         self._cell_store = cell_store
-        self._completed: Dict[SweepCell, SweepCellResult] = {}
         self._profile: Dict[str, float] = {}
-        self._last_run_stats = SweepRunStats(requested=0, memo_hits=0, store_hits=0, computed=0)
+        self._last_run_stats = SweepRunStats(requested=0, store_hits=0, computed=0)
         self._last_adaptive_report = None
         self._pool = None
         self._pool_size = 0
-
-    @property
-    def completed_cells(self) -> int:
-        """Number of distinct cells memoized so far."""
-        return len(self._completed)
 
     @property
     def backend_name(self) -> str:
@@ -1077,7 +1068,8 @@ class SweepRunner:
 
     @property
     def last_run_stats(self) -> SweepRunStats:
-        """Cache accounting of the most recent :meth:`run` (or :meth:`sweep`) call.
+        """Cache accounting of the most recent :meth:`run`, :meth:`sweep` or
+        :meth:`sweeps` call.
 
         For an adaptive sweep the counters are totals across every
         allocation round, so they describe the whole sweep exactly as they
@@ -1107,7 +1099,8 @@ class SweepRunner:
         Keys are drawn from :data:`PROFILE_PHASES`.  Worker-side phases are
         summed across processes, so with ``workers > 1`` the total can
         exceed elapsed wall-clock time; ratios between phases are the
-        meaningful signal.  Memoized cells add nothing (no work ran).
+        meaningful signal.  Cells recalled from the store add nothing (no
+        work ran).
         """
         return dict(self._profile)
 
@@ -1138,7 +1131,7 @@ class SweepRunner:
         return self._pool
 
     def close(self) -> None:
-        """Release the persistent worker pool (memoized results are kept)."""
+        """Release the persistent worker pool."""
         if self._pool is not None:
             self._pool.terminate()
             self._pool.join()
@@ -1206,45 +1199,31 @@ class SweepRunner:
 
         This is the one execution path behind :meth:`run` (which expands a
         rectangular grid into it) and the adaptive allocator (which submits
-        exactly the cells each round's schedule calls for): memo lookup,
-        persistent-store recall, fused dispatch, store write-back
-        and :attr:`last_run_stats` accounting all live here.  Duplicate
-        cells in ``cells`` are computed once and reported once in the
-        stats.
+        exactly the cells each round's schedule calls for).  It dedupes
+        ``cells``, recalls what the attached store holds, runs the fused
+        dispatch on the rest, writes those results back and records
+        :attr:`last_run_stats`.
         """
         requested = list(dict.fromkeys(cells))
-        pending = [cell for cell in requested if cell not in self._completed]
-        memo_hits = len(requested) - len(pending)
-        store_hits = 0
-        if pending and self._cell_store is not None:
-            recalled = self._cell_store.get_cells(
-                pending,
-                pairs=self._pairs,
-                base_seed=self._base_seed,
-                overlay_options=self._overlay_options,
-            )
-            for cell, result in recalled.items():
-                self._completed[cell] = result
-            store_hits = len(recalled)
-            pending = [cell for cell in pending if cell not in self._completed]
+        store = self._cell_store
+        identity = {
+            "pairs": self._pairs,
+            "base_seed": self._base_seed,
+            "overlay_options": self._overlay_options,
+        }
+        found = {} if store is None else store.get_cells(requested, **identity)
+        pending = [cell for cell in requested if cell not in found]
         if pending:
             results = self._run_fused(pending)
-            for result in results:
-                self._completed[result.cell] = result
-            if self._cell_store is not None:
-                self._cell_store.put_cells(
-                    results,
-                    pairs=self._pairs,
-                    base_seed=self._base_seed,
-                    overlay_options=self._overlay_options,
-                )
+            if store is not None:
+                store.put_cells(results, **identity)
+            found.update((result.cell, result) for result in results)
         self._last_run_stats = SweepRunStats(
             requested=len(requested),
-            memo_hits=memo_hits,
-            store_hits=store_hits,
+            store_hits=len(requested) - len(pending),
             computed=len(pending),
         )
-        return {cell: self._completed[cell] for cell in requested}
+        return {cell: found[cell] for cell in requested}
 
     def _run_fused(self, pending: List[SweepCell]) -> List[SweepCellResult]:
         """Fused dispatch: one task per overlay build, routed as a stacked batch.
@@ -1259,6 +1238,18 @@ class SweepRunner:
         for cell in pending:
             groups.setdefault((cell.geometry, cell.d, cell.replicate), []).append(cell)
         use_pool = self._workers > 1 and len(groups) > 1
+
+        def spec(cells, table_ref):
+            return (
+                tuple(cells),
+                self._pairs,
+                self._base_seed,
+                self._batch_size,
+                self._overlay_options,
+                table_ref,
+                self._spec_backend,
+            )
+
         published: List[shared_memory.SharedMemory] = []
         try:
             if use_pool:
@@ -1281,32 +1272,10 @@ class SweepRunner:
                         }
                     )
                     published.append(segment)
-                    spec = (
-                        tuple(cells),
-                        self._pairs,
-                        self._base_seed,
-                        self._batch_size,
-                        self._overlay_options,
-                        table_ref,
-                        self._spec_backend,
-                    )
-                    dispatched.append(pool.apply_async(_run_fused_group, (spec,)))
+                    dispatched.append(pool.apply_async(_run_fused_group, (spec(cells, table_ref),)))
                 grouped = [task.get() for task in dispatched]
             else:
-                grouped = [
-                    _run_fused_group(
-                        (
-                            tuple(cells),
-                            self._pairs,
-                            self._base_seed,
-                            self._batch_size,
-                            self._overlay_options,
-                            None,
-                            self._spec_backend,
-                        )
-                    )
-                    for cells in groups.values()
-                ]
+                grouped = [_run_fused_group(spec(cells, None)) for cells in groups.values()]
         finally:
             for segment in published:
                 try:
@@ -1319,6 +1288,33 @@ class SweepRunner:
             self._absorb_timings(timings)
             results.extend(group)
         return results
+
+    def sweeps(
+        self,
+        geometries: Sequence[str],
+        d: int,
+        failure_probabilities: Sequence[float],
+        failure_models: Optional[Sequence[str]] = None,
+    ) -> Dict[Tuple[str, str], "ResilienceSweepResult"]:
+        """Run the whole grid in one :meth:`run` and pool one sweep per
+        ``(geometry, model)`` (models keyed in canonical spelling).
+
+        One dispatch keeps worker parallelism across geometries and asks for
+        every cell once.
+        """
+        models = ["uniform"] if failure_models is None else failure_models
+        models = [check_failure_model_kind(model) for model in models]
+        cells = self.run(geometries, d, failure_probabilities, models)
+        self._last_adaptive_report = None
+        sweeps = {}
+        for geometry in geometries:
+            for model in models:
+                points = [
+                    (q, [cells[SweepCell(geometry, d, q, r, model)] for r in range(self._replicates)])
+                    for q in failure_probabilities
+                ]
+                sweeps[geometry, model] = self._pooled_sweep(geometry, d, model, points)
+        return sweeps
 
     def sweep(
         self,
@@ -1344,31 +1340,29 @@ class SweepRunner:
         the uniform sweep's.  ``replay_allocation`` instead replays a
         recorded :class:`~repro.sim.adaptive.AllocationLedger` exactly,
         reproducing the adaptive run's rows bit-identically.  With neither,
-        behaviour (and every measured byte) is unchanged.
+        this is :meth:`sweeps` for one ``(geometry, model)``.
         """
+        failure_model = check_failure_model_kind(failure_model)
+        if adaptive is None and replay_allocation is None:
+            return self.sweeps([geometry], d, failure_probabilities, [failure_model])[
+                geometry, failure_model
+            ]
+        points = self._sweep_adaptive(
+            geometry, d, failure_probabilities, failure_model, adaptive, replay_allocation
+        )
+        return self._pooled_sweep(geometry, d, failure_model, points)
+
+    def _pooled_sweep(
+        self,
+        geometry: str,
+        d: int,
+        failure_model: str,
+        points: Sequence[Tuple[float, Sequence[SweepCellResult]]],
+    ) -> "ResilienceSweepResult":
+        """Pool each ``(q, cell results)`` point into one sweep result."""
         # Imported here: static_resilience imports this module at load time.
         from .static_resilience import ResilienceSweepResult
 
-        failure_model = check_failure_model_kind(failure_model)
-        if adaptive is not None or replay_allocation is not None:
-            points = self._sweep_adaptive(
-                geometry, d, failure_probabilities, failure_model, adaptive, replay_allocation
-            )
-        else:
-            self._last_adaptive_report = None
-            cell_results = self.run([geometry], d, failure_probabilities, [failure_model])
-            points = [
-                (
-                    q,
-                    [
-                        cell_results[
-                            SweepCell(geometry=geometry, d=d, q=q, replicate=r, model=failure_model)
-                        ]
-                        for r in range(self._replicates)
-                    ],
-                )
-                for q in failure_probabilities
-            ]
         system = OVERLAY_CLASSES[geometry].system_name
         return ResilienceSweepResult(
             geometry=geometry,
@@ -1446,18 +1440,18 @@ class SweepRunner:
         # One run_cells call per allocation round: fused dispatch groups are
         # rebuilt from each round's schedule, and the round stats accumulate
         # so last_run_stats describes the whole adaptive sweep.
-        totals = {"requested": 0, "memo_hits": 0, "store_hits": 0, "computed": 0}
+        rounds: List[SweepRunStats] = []
 
         def run_round(batch):
             outcome = self.run_cells(batch)
-            stats = self._last_run_stats
-            totals["requested"] += stats.requested
-            totals["memo_hits"] += stats.memo_hits
-            totals["store_hits"] += stats.store_hits
-            totals["computed"] += stats.computed
+            rounds.append(self._last_run_stats)
             return outcome
 
         results, report = run_allocation(points, run_round, config, replay=replay_allocation)
-        self._last_run_stats = SweepRunStats(**totals)
+        self._last_run_stats = SweepRunStats(
+            requested=sum(stats.requested for stats in rounds),
+            store_hits=sum(stats.store_hits for stats in rounds),
+            computed=sum(stats.computed for stats in rounds),
+        )
         self._last_adaptive_report = report
         return [(point.q, results[point]) for point in points]

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import InvalidParameterError, UnknownGeometryError
+from repro.service.store import ResultStore
 from repro.sim import backends as backends_module
 from repro.sim.backends import (
     BACKEND_CHOICES,
@@ -246,9 +247,13 @@ class TestProfile:
             runner.reset_profile()
             assert runner.profile == {}
 
-    def test_memoized_cells_add_no_profile_time(self):
-        with SweepRunner(pairs=20, replicates=1, workers=1, base_seed=23) as runner:
-            runner.sweep("ring", SMALL_D, [0.2])
-            first = runner.profile
-            runner.sweep("ring", SMALL_D, [0.2])  # fully memoized
-            assert runner.profile == first
+    def test_store_hits_add_no_profile_time(self, tmp_path):
+        with ResultStore.open(tmp_path / "cells.db") as store:
+            with SweepRunner(
+                pairs=20, replicates=1, workers=1, base_seed=23, cell_store=store
+            ) as runner:
+                runner.sweep("ring", SMALL_D, [0.2])
+                first = runner.profile
+                runner.sweep("ring", SMALL_D, [0.2])  # served from the store
+                assert runner.last_run_stats.computed == 0
+                assert runner.profile == first

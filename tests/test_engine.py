@@ -19,8 +19,9 @@ from repro.dht.failures import survival_mask
 from repro.dht.metrics import summarize_routes
 from repro.dht.routing import FAILURE_CODES, FailureReason, failure_reason_from_code
 from repro.exceptions import InvalidParameterError, RoutingError
+from repro.service.store import ResultStore
 from repro.sim.churn import ChurnConfig, simulate_churn
-from repro.sim.engine import SweepCell, SweepRunner, route_pairs
+from repro.sim.engine import SweepCell, SweepRunner, SweepRunStats, route_pairs
 from repro.sim.static_resilience import measure_routability
 from repro.sim.sampling import sample_survivor_pairs
 
@@ -186,20 +187,53 @@ class TestSweepRunner:
             for left, right in zip(a.results, b.results):
                 assert_metrics_equal(left.metrics, right.metrics)
 
-    def test_completed_cells_are_memoized(self):
-        runner = SweepRunner(pairs=60, replicates=2, workers=1, base_seed=11)
-        first = runner.sweep("xor", SMALL_D, [0.1, 0.5])
-        cells_after_first = runner.completed_cells
-        second = runner.sweep("xor", SMALL_D, [0.1, 0.5])
-        assert runner.completed_cells == cells_after_first == 4
+    def test_store_serves_a_repeated_grid(self, tmp_path):
+        with ResultStore.open(tmp_path / "cells.db") as store:
+            runner = SweepRunner(pairs=60, replicates=2, workers=1, base_seed=11, cell_store=store)
+            first = runner.sweep("xor", SMALL_D, [0.1, 0.5])
+            assert runner.last_run_stats == SweepRunStats(requested=4, store_hits=0, computed=4)
+            second = runner.sweep("xor", SMALL_D, [0.1, 0.5])
+            assert runner.last_run_stats == SweepRunStats(requested=4, store_hits=4, computed=0)
         assert first.routabilities == second.routabilities
 
-    def test_overlapping_grid_only_adds_missing_cells(self):
-        runner = SweepRunner(pairs=60, replicates=1, workers=1, base_seed=11)
-        runner.sweep("ring", SMALL_D, [0.1])
-        assert runner.completed_cells == 1
-        runner.sweep("ring", SMALL_D, [0.1, 0.4])
-        assert runner.completed_cells == 2
+    def test_overlapping_grid_only_adds_missing_cells(self, tmp_path):
+        with ResultStore.open(tmp_path / "cells.db") as store:
+            runner = SweepRunner(pairs=60, replicates=1, workers=1, base_seed=11, cell_store=store)
+            runner.sweep("ring", SMALL_D, [0.1])
+            runner.sweep("ring", SMALL_D, [0.1, 0.4])
+            assert runner.last_run_stats == SweepRunStats(requested=2, store_hits=1, computed=1)
+            assert len(store) == 2
+
+    def test_runner_without_store_recomputes_an_identical_grid(self):
+        runner = SweepRunner(pairs=60, replicates=2, workers=1, base_seed=11)
+        first = runner.sweep("xor", SMALL_D, [0.1, 0.5])
+        second = runner.sweep("xor", SMALL_D, [0.1, 0.5])
+        assert runner.last_run_stats == SweepRunStats(requested=4, store_hits=0, computed=4)
+        assert runner.last_run_stats.memo_hits == 0
+        assert first.as_rows() == second.as_rows()
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_sweeps_match_per_geometry_sweeps_from_one_run_cells_call(self, workers, monkeypatch):
+        geometries, models, qs = ["tree", "xor", "ring"], ["uniform", "regional"], [0.1, 0.45, 1.0]
+        with SweepRunner(pairs=50, replicates=2, workers=workers, base_seed=29) as runner:
+            expected = {
+                (geometry, model): runner.sweep(geometry, SMALL_D, qs, model).as_rows()
+                for geometry in geometries
+                for model in models
+            }
+            batches = []
+            run_cells = SweepRunner.run_cells
+
+            def counting_run_cells(self, cells):
+                batches.append(list(cells))
+                return run_cells(self, cells)
+
+            monkeypatch.setattr(SweepRunner, "run_cells", counting_run_cells)
+            sweeps = runner.sweeps(geometries, SMALL_D, qs, models)
+        assert len(batches) == 1
+        assert len(batches[0]) == len(set(batches[0])) == 3 * 2 * 2 * 3
+        assert {key: sweep.as_rows() for key, sweep in sweeps.items()} == expected
+        assert list(sweeps) == list(expected)
 
     def test_replicates_pool_into_attempts(self):
         runner = SweepRunner(pairs=50, replicates=3, workers=1, base_seed=7)

@@ -300,3 +300,57 @@ class TestFailureModes:
         ]
         observed = [row["xor"] for row in result.table("failed_path_percent_uniform")]
         assert observed == expected
+
+
+class TestCellDispatch:
+    """Experiments ask their runner for every grid cell exactly once."""
+
+    @pytest.mark.parametrize("experiment_id", ["FIG6A", "FIG7A", "EXT-FAILMODES"])
+    def test_fast_mode_computes_each_grid_cell_once(self, experiment_id, fast_config, monkeypatch):
+        from repro.core.geometries import PAPER_GEOMETRIES
+        from repro.experiments.failure_modes import FAILMODE_GEOMETRIES, FAILMODE_MODELS
+        from repro.experiments.fig6a_static_resilience import FIG6A_GEOMETRIES
+        from repro.sim import engine
+        from repro.workloads.generators import paper_failure_probabilities
+
+        grid_axes = {
+            "FIG6A": (FIG6A_GEOMETRIES, 1),
+            "FIG7A": (PAPER_GEOMETRIES, 1),
+            "EXT-FAILMODES": (FAILMODE_GEOMETRIES, len(FAILMODE_MODELS)),
+        }
+        geometries, models = grid_axes[experiment_id]
+        computed = []
+        run_group = engine._run_fused_group
+
+        def counting_run_group(spec):
+            computed.extend(spec[0])
+            return run_group(spec)
+
+        monkeypatch.setattr(engine, "_run_fused_group", counting_run_group)
+        run_experiment(experiment_id, fast_config)
+        grid_size = (
+            len(geometries)
+            * models
+            * len(paper_failure_probabilities(fast=True))
+            * fast_config.resolved_workload().trials
+        )
+        assert len(computed) == len(set(computed)) == grid_size
+
+    def test_adaptive_sweeps_are_served_by_the_uniform_cells(self, fast_config, monkeypatch):
+        from repro.sim.engine import SweepRunner
+
+        adaptive_stats = []
+        sweep = SweepRunner.sweep
+
+        def recording_sweep(self, *args, adaptive=None, **kwargs):
+            result = sweep(self, *args, adaptive=adaptive, **kwargs)
+            if adaptive is not None:
+                adaptive_stats.append(self.last_run_stats)
+            return result
+
+        monkeypatch.setattr(SweepRunner, "sweep", recording_sweep)
+        run_experiment("EXT-ADAPTIVE", fast_config)
+        assert adaptive_stats
+        for stats in adaptive_stats:
+            assert stats.computed == 0
+            assert stats.store_hits == stats.requested > 0

@@ -18,6 +18,7 @@ import pytest
 
 from repro.dht.failures import survival_mask
 from repro.exceptions import InvalidParameterError, RoutingError
+from repro.service.store import ResultStore
 from repro.sim.churn import ChurnConfig, simulate_churn
 from repro.sim.engine import (
     SweepCell,
@@ -317,13 +318,6 @@ class TestFusedSweepRunner:
             assert fused_step.usable_fraction == scalar_step.usable_fraction
             assert_metrics_equal(fused_step.metrics, scalar_step.metrics)
 
-    def test_fused_memoization_only_adds_missing_cells(self):
-        with SweepRunner(pairs=40, replicates=1, workers=1, base_seed=11) as runner:
-            runner.sweep("ring", SMALL_D, [0.1])
-            assert runner.completed_cells == 1
-            runner.sweep("ring", SMALL_D, [0.1, 0.4])
-            assert runner.completed_cells == 2
-
     def test_fused_degenerate_cells_are_counted(self):
         with SweepRunner(pairs=20, replicates=2, workers=1, base_seed=3) as runner:
             sweep = runner.sweep("tree", SMALL_D, [1.0])
@@ -338,7 +332,8 @@ class TestFusedSweepRunner:
         assert runner._pool is not None
         runner.close()
         assert runner._pool is None
-        # Memoized cells survive close(); a new dispatch recreates the pool.
+        # A new dispatch after close() recreates the pool and recomputes
+        # the same results.
         second = runner.sweep("hypercube", SMALL_D, [0.2, 0.5])
         assert first.routabilities == second.routabilities
         runner.close()
@@ -372,11 +367,17 @@ class TestFailureModelGrid:
         assert {cell.model for cell in fused} == set(self.MODELS)
         assert_matches_reference(fused, reference)
 
-    def test_models_share_overlay_groups_but_not_results(self):
-        with SweepRunner(pairs=50, replicates=1, workers=1, base_seed=31) as runner:
-            uniform = runner.sweep("xor", SMALL_D, [0.4], failure_model="uniform")
-            targeted = runner.sweep("xor", SMALL_D, [0.4], failure_model="targeted")
-        assert runner.completed_cells == 2  # one cell per model, memoized apart
+    def test_models_share_overlay_groups_but_not_results(self, tmp_path):
+        with ResultStore.open(tmp_path / "cells.db") as store:
+            with SweepRunner(
+                pairs=50, replicates=1, workers=1, base_seed=31, cell_store=store
+            ) as runner:
+                uniform = runner.sweep("xor", SMALL_D, [0.4], failure_model="uniform")
+                targeted = runner.sweep("xor", SMALL_D, [0.4], failure_model="targeted")
+                # The targeted cell is not served from the uniform one.
+                assert runner.last_run_stats.store_hits == 0
+                assert runner.last_run_stats.computed == 1
+            assert len(store) == 2  # one cell per model, stored apart
         assert uniform.failure_model == "uniform"
         assert targeted.failure_model == "targeted"
 

@@ -685,6 +685,22 @@ class TestBackpressureExceptionTypes:
         assert "rcm_cells_computed_total 12" in lines
         assert "rcm_cells_cached_total 0" in lines
 
+    def test_repeated_job_is_counted_as_store_hits(self, tmp_path):
+        # The store is the only cell cache: a job repeated on the same
+        # runner is served from it, and both public cache counters agree.
+        config = ServiceConfig(
+            store_path=str(tmp_path / "cells.db"), pairs=PAIRS, trials=TRIALS, seed=SEED
+        )
+        with SweepService(config) as service:
+            wait_terminal(service.jobs.submit(GRID))
+            repeat = service.jobs.submit(GRID)
+            wait_terminal(repeat)
+            cells = repeat.status_payload()["cells"]
+            lines = service.metrics_text().splitlines()
+        assert cells["cached"] == cells["total"] == 4
+        assert f"rcm_cells_cached_total {cells['total']}" in lines
+        assert f"rcm_store_hits_total {cells['total']}" in lines
+
     def test_max_retained_jobs_caps_the_table(self, tmp_path):
         with manager(tmp_path, max_retained_jobs=2, job_ttl=None) as jobs:
             finished = [jobs.submit(GRID) for _ in range(3)]
